@@ -33,7 +33,8 @@
 #      allocator instrumented
 #   8. UBSan preset build + full ctest
 #   9. TSan preset build + the concurrency suites (thread pool stress +
-#      pipeline determinism + fault-schedule determinism + the overload
+#      interner concurrent lookups + pipeline determinism +
+#      fault-schedule determinism + the overload
 #      ledger 1-vs-8-thread determinism checks) with ORIGIN_THREADS=8, so
 #      every shard path runs contended under the race detector
 #  10. perf: Release build of the perf + ablation benches; each emits its
@@ -129,7 +130,7 @@ echo "==> [9/10] ThreadSanitizer preset (concurrency suites, 8 threads)"
 cmake -B build-tsan -S . -DORIGIN_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS"
 ORIGIN_THREADS=8 ctest --test-dir build-tsan --output-on-failure \
-  -R 'ThreadPool|PipelineDeterminism|FaultDeterminism|BitIdenticalAcrossThreadCounts'
+  -R 'ThreadPool|Interner|PipelineDeterminism|FaultDeterminism|BitIdenticalAcrossThreadCounts'
 
 echo "==> [10/10] perf gates (Release benches, repo-root BENCH_*.json)"
 cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release

@@ -31,7 +31,7 @@ Service& Environment::add_service(Service service) {
   for (const auto& hostname : added.served_hostnames) {
     // First registration wins, matching the previous std::map::emplace
     // semantics for hostnames served by several deployments.
-    host_to_service_.emplace(hostnames_.intern(hostname), index);
+    host_to_service_.emplace(hostname, index);
     // One zone per registrable domain keeps longest-suffix resolution
     // working for sharded subdomains.
     const std::string apex = origin::util::registrable_domain(hostname);
@@ -59,9 +59,7 @@ Service& Environment::add_service(Service service) {
 }
 
 std::size_t Environment::service_index(std::string_view hostname) const {
-  const util::SymbolId id = hostnames_.lookup(hostname);
-  if (id == util::kInvalidSymbol) return kNoService;
-  const std::size_t* index = host_to_service_.find(id);
+  const std::size_t* index = host_to_service_.find(hostname);
   return index == nullptr ? kNoService : *index;
 }
 

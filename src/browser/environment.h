@@ -13,6 +13,7 @@
 #include <memory>
 #include <set>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "dns/record.h"
@@ -21,7 +22,6 @@
 #include "tls/ca.h"
 #include "tls/certificate.h"
 #include "util/flat_map.h"
-#include "util/interner.h"
 #include "web/resource.h"
 
 namespace origin::browser {
@@ -63,9 +63,8 @@ class Environment {
   const Service* find_service(const std::string& hostname) const;
 
   // Index into services() for the deployment serving `hostname`, or
-  // kNoService. Lock-free and safe to call concurrently with other
-  // readers; the corpus build interns all hostnames before any parallel
-  // phase reads them (DESIGN.md §10 determinism contract).
+  // kNoService. A read-only probe: safe to call from many threads once
+  // add_service() calls are done (DESIGN.md §10 single-writer contract).
   std::size_t service_index(std::string_view hostname) const;
 
   // Re-points every address record of `hostname` at `addresses` (used by
@@ -82,18 +81,13 @@ class Environment {
                                     std::size_t max_sans = 100);
   tls::CertificateAuthority* find_ca(const std::string& name);
 
-  // Symbol table of every served hostname; the corpus layer reuses these
-  // ids instead of re-hashing hostname strings.
-  const util::Interner& hostnames() const { return hostnames_; }
-
   // Deque: service references stay valid as more services are added.
   std::deque<Service>& services() { return services_; }
   const std::deque<Service>& services() const { return services_; }
 
  private:
   std::deque<Service> services_;
-  util::Interner hostnames_;
-  util::FlatMap<util::SymbolId, std::size_t> host_to_service_;
+  util::FlatMap<std::string, std::size_t> host_to_service_;
   dns::AuthoritativeDns dns_;
   tls::TrustStore trust_store_;
   std::vector<std::unique_ptr<tls::CertificateAuthority>> cas_;

@@ -135,20 +135,6 @@ void TimelineColumns::set_identity(std::uint64_t shard_index,
   first_site_ = first_site;
 }
 
-std::uint32_t TimelineColumns::intern(std::string_view name) {
-  if (const std::uint32_t* id = symbol_index_.find(name)) return *id;
-  const std::uint32_t id = static_cast<std::uint32_t>(symbol_names_.size());
-  // analyze:allow(hot-transitive): the symbol table grows once per unique
-  // hostname per shard, in the cold append_page wrapper — never inside the
-  // HOT row appends; the reported hot chain is a by-name match of intern()
-  // against the coalescing model's unrelated interner.
-  symbol_names_.emplace_back(name);
-  // analyze:allow(hot-transitive): same false chain as above — the index
-  // grows once per unique hostname per shard in this cold wrapper only.
-  symbol_index_.emplace(symbol_names_.back(), id);
-  return id;
-}
-
 ORIGIN_HOT void TimelineColumns::append_page_row(const web::PageLoad& load,
                                                  std::uint32_t base_sym) {
   page_rank_.put(load.tranco_rank);
@@ -199,10 +185,10 @@ ORIGIN_HOT void TimelineColumns::append_entry_row(const web::HarEntry& entry,
 }
 
 void TimelineColumns::append_page(const web::PageLoad& load) {
-  append_page_row(load, intern(load.base_hostname));
+  append_page_row(load, symbols_.intern(load.base_hostname));
   for (const web::HarEntry& entry : load.entries) {
-    append_entry_row(entry, intern(entry.hostname),
-                     intern(entry.cert_issuer));
+    append_entry_row(entry, symbols_.intern(entry.hostname),
+                     symbols_.intern(entry.cert_issuer));
   }
 }
 
@@ -237,8 +223,7 @@ void TimelineColumns::clear() {
   page_entry_count_.clear();
   page_extra_dns_.clear();
   page_extra_tls_.clear();
-  symbol_names_.clear();
-  symbol_index_.clear();
+  symbols_.clear();
   arena_.reset();
 }
 
@@ -250,7 +235,7 @@ ShardMeta TimelineColumns::meta() const {
   meta.pages = page_rank_.size();
   meta.entries = entry_start_us_.size();
   meta.answers = answer_value_.size();
-  meta.symbols = static_cast<std::uint32_t>(symbol_names_.size());
+  meta.symbols = static_cast<std::uint32_t>(symbols_.size());
   return meta;
 }
 

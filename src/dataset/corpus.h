@@ -33,7 +33,6 @@
 #pragma once
 
 #include <cstdint>
-#include <deque>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -45,6 +44,7 @@
 #include "util/bytes.h"
 #include "util/durable_file.h"
 #include "util/flat_map.h"
+#include "util/interner.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
 #include "web/har.h"
@@ -78,11 +78,10 @@ class TimelineColumns {
   ShardMeta meta() const;
   std::size_t page_count() const { return page_rank_.size(); }
   std::size_t entry_count() const { return entry_start_us_.size(); }
-  std::size_t symbol_count() const { return symbol_names_.size(); }
+  std::size_t symbol_count() const { return symbols_.size(); }
   std::size_t arena_reserved_bytes() const { return arena_.reserved_bytes(); }
 
-  std::uint32_t intern(std::string_view name);
-  std::string_view symbol(std::uint32_t id) const { return symbol_names_[id]; }
+  std::string_view symbol(std::uint32_t id) const { return symbols_.name(id); }
 
  private:
   friend util::Bytes encode_snapshot(const TimelineColumns& columns);
@@ -131,10 +130,8 @@ class TimelineColumns {
   util::ArenaColumn<std::uint64_t> page_extra_dns_;
   util::ArenaColumn<std::uint64_t> page_extra_tls_;
 
-  // Per-shard symbol table: id = first-appearance order. The deque keeps
-  // views stable; the index map supports heterogeneous string_view lookup.
-  std::deque<std::string> symbol_names_;
-  util::FlatMap<std::string_view, std::uint32_t> symbol_index_;
+  // Per-shard symbol table: id = first-appearance order.
+  util::Interner symbols_;
 
   std::uint64_t shard_index_ = 0;
   std::uint64_t corpus_seed_ = 0;

@@ -389,7 +389,7 @@ void Corpus::materialize_site(SiteDraft draft) {
                                            {draft.site.domain},
                                            SimTime::from_micros(0)));
 
-  // The environment's interned host index now maps draft.site.domain to
+  // The environment's hostname index now maps draft.site.domain to
   // this service (site domains are unique, so first-wins is exact);
   // service_for_site resolves through it instead of a side table.
   env_.add_service(std::move(service));

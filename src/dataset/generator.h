@@ -131,8 +131,8 @@ class Corpus {
   std::vector<Destination> tail_destinations_;
   // Immutable once build_providers() returns, so the parallel draft phase
   // reads it without synchronization. (Site -> service resolution needs no
-  // side table: the environment's interned host index already maps each
-  // site domain to the service registered for it.)
+  // side table: the environment's hostname index already maps each site
+  // domain to the service registered for it.)
   util::FlatMap<std::string, std::vector<dns::IpAddress>> provider_pools_;
   std::string third_party_domain_ = "cdnjs.cloudflare.com";
 };

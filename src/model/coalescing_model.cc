@@ -34,6 +34,27 @@ ORIGIN_HOT std::string_view format_asn_key(char (&buffer)[16], std::uint32_t asn
   return {buffer, static_cast<std::size_t>(result.ptr - buffer)};
 }
 
+// Runs `fn` on the group key prefix + rest, joined on the stack when it
+// fits (every key the corpus generator produces does).
+template <typename Fn>
+util::SymbolId with_joined_key(std::string_view prefix, std::string_view rest,
+                               Fn&& fn) {
+  char stack[96];
+  std::string heap;
+  std::string_view key;
+  if (prefix.size() + rest.size() <= sizeof(stack)) {
+    std::memcpy(stack, prefix.data(), prefix.size());
+    std::memcpy(stack + prefix.size(), rest.data(), rest.size());
+    key = {stack, prefix.size() + rest.size()};
+  } else {
+    heap.reserve(prefix.size() + rest.size());
+    heap.append(prefix);
+    heap.append(rest);
+    key = heap;
+  }
+  return fn(key);
+}
+
 // Per-thread workspace for the scratch-less convenience overloads and the
 // batch APIs: each worker reuses one arena across every page it replays,
 // which is what makes the batch steady state allocation-free.
@@ -301,80 +322,89 @@ CoalescingModel::CoalescingModel(const browser::Environment& env,
   // Serial id-assignment pass (the determinism contract, DESIGN.md §10):
   // every group key the serving world can produce is interned here, in
   // service order, before any analysis can run concurrently.
+  auto intern = [this](std::string_view key) { return groups_.intern(key); };
   char buffer[16];
-  asn_groups_.emplace(0, groups_.intern(format_asn_key(buffer, 0)));
+  asn_groups_.emplace(0, intern(format_asn_key(buffer, 0)));
   const auto& services = env_.services();
   service_groups_.reserve(services.size());
   for (const auto& service : services) {
     if (!asn_groups_.contains(service.asn)) {
       asn_groups_.emplace(service.asn,
-                          groups_.intern(format_asn_key(buffer, service.asn)));
+                          intern(format_asn_key(buffer, service.asn)));
     }
     switch (grouping_) {
       case Grouping::kAsn:
         service_groups_.push_back(*asn_groups_.find(service.asn));
         break;
       case Grouping::kProvider:
-        service_groups_.push_back(intern_key("org:", service.provider));
+        service_groups_.push_back(
+            with_joined_key("org:", service.provider, intern));
         break;
       case Grouping::kService:
-        service_groups_.push_back(intern_key("svc:", service.name));
+        service_groups_.push_back(
+            with_joined_key("svc:", service.name, intern));
         break;
     }
   }
 }
 
-util::SymbolId CoalescingModel::intern_key(std::string_view prefix,
-                                           std::string_view rest) const {
-  char stack[96];
-  std::string heap;
-  std::string_view key;
-  if (prefix.size() + rest.size() <= sizeof(stack)) {
-    std::memcpy(stack, prefix.data(), prefix.size());
-    std::memcpy(stack + prefix.size(), rest.data(), rest.size());
-    key = {stack, prefix.size() + rest.size()};
-  } else {
-    heap.reserve(prefix.size() + rest.size());
-    heap.append(prefix);
-    heap.append(rest);
-    key = heap;
-  }
-  const util::SymbolId id = groups_.lookup(key);
-  return id != util::kInvalidSymbol ? id : groups_.intern(key);
-}
-
-util::SymbolId CoalescingModel::asn_group(std::uint32_t asn) const {
-  if (const util::SymbolId* id = asn_groups_.find(asn)) return *id;
-  // AS outside the primed world (services added after construction, or
-  // hand-built loads): intern on sight. lookup() first keeps the repeat
-  // path lock-free.
-  char buffer[16];
-  const std::string_view key = format_asn_key(buffer, asn);
-  const util::SymbolId id = groups_.lookup(key);
-  return id != util::kInvalidSymbol ? id : groups_.intern(key);
-}
-
-util::SymbolId CoalescingModel::group_of(const std::string& hostname,
-                                         std::uint32_t asn) const {
+CoalescingModel::GroupKey CoalescingModel::group_key(
+    std::string_view hostname, std::uint32_t asn,
+    char (&asn_buffer)[16]) const {
+  auto by_asn = [&]() -> GroupKey {
+    if (const util::SymbolId* id = asn_groups_.find(asn)) {
+      return {*id, {}, {}};
+    }
+    // AS outside the primed world (services added after construction, or
+    // hand-built loads).
+    return {util::kInvalidSymbol, {}, format_asn_key(asn_buffer, asn)};
+  };
   switch (grouping_) {
     case Grouping::kAsn:
-      return asn_group(asn);
+      return by_asn();
     case Grouping::kProvider: {
       const std::size_t index = env_.service_index(hostname);
-      if (index == browser::Environment::kNoService) return asn_group(asn);
-      if (index < service_groups_.size()) return service_groups_[index];
-      return intern_key("org:", env_.services()[index].provider);
+      if (index == browser::Environment::kNoService) return by_asn();
+      if (index < service_groups_.size()) {
+        return {service_groups_[index], {}, {}};
+      }
+      return {util::kInvalidSymbol, "org:", env_.services()[index].provider};
     }
     case Grouping::kService: {
       const std::size_t index = env_.service_index(hostname);
       if (index == browser::Environment::kNoService) {
-        return intern_key("host:", hostname);
+        return {util::kInvalidSymbol, "host:", hostname};
       }
-      if (index < service_groups_.size()) return service_groups_[index];
-      return intern_key("svc:", env_.services()[index].name);
+      if (index < service_groups_.size()) {
+        return {service_groups_[index], {}, {}};
+      }
+      return {util::kInvalidSymbol, "svc:", env_.services()[index].name};
     }
   }
-  return util::kInvalidSymbol;
+  return {};
+}
+
+util::SymbolId CoalescingModel::group_of(const std::string& hostname,
+                                         std::uint32_t asn) const {
+  char buffer[16];
+  const GroupKey key = group_key(hostname, asn, buffer);
+  if (key.primed != util::kInvalidSymbol) return key.primed;
+  return with_joined_key(key.prefix, key.rest, [this](std::string_view joined) {
+    return groups_.intern(joined);
+  });
+}
+
+util::SymbolId CoalescingModel::lookup_group(std::string_view hostname,
+                                             std::uint32_t asn) const {
+  char buffer[16];
+  const GroupKey key = group_key(hostname, asn, buffer);
+  if (key.primed != util::kInvalidSymbol) return key.primed;
+  const util::SymbolId id = with_joined_key(
+      key.prefix, key.rest,
+      [this](std::string_view joined) { return groups_.lookup(joined); });
+  ORIGIN_CHECK(id != util::kInvalidSymbol,
+               "CoalescingModel: group key missed the serial intern prepass");
+  return id;
 }
 
 void CoalescingModel::analyze_into(const web::PageLoad& load,
@@ -405,7 +435,7 @@ void CoalescingModel::analyze_into(const web::PageLoad& load,
   for (std::size_t i = 0; i < load.entries.size(); ++i) {
     const web::HarEntry& entry = load.entries[i];
     EntryAnalysis& ea = analysis.entries[i];
-    ea.group = group_of(entry.hostname, entry.asn);
+    ea.group = lookup_group(entry.hostname, entry.asn);
 
     if (entry.asn != 0 && coalescable(entry)) {
       // insert() is the seed's contains()+insert() in one probe.
@@ -464,6 +494,7 @@ PageAnalysis CoalescingModel::analyze(const web::PageLoad& load) const {
 
 PageAnalysis CoalescingModel::analyze(const web::PageLoad& load,
                                       AnalysisScratch& scratch) const {
+  intern_groups({&load, 1});
   PageAnalysis analysis;
   analyze_into(load, &analysis, scratch);
   return analysis;
@@ -543,7 +574,7 @@ ORIGIN_HOT void CoalescingModel::replay_page_in_place(web::PageLoad& page,
   for (std::size_t i = 0; i < n; ++i) {
     const web::HarEntry& entry = page.entries[i];
     if (entry.asn == 0 || !entry.secure) continue;
-    const util::SymbolId group = group_of(entry.hostname, entry.asn);
+    const util::SymbolId group = lookup_group(entry.hostname, entry.asn);
     if (s.groups_seen.insert(group)) continue;  // first of its group
     if (restricted && group != restrict_to) continue;
     batch_join(i, group, entry, s);
@@ -554,7 +585,7 @@ ORIGIN_HOT void CoalescingModel::replay_page_in_place(web::PageLoad& page,
 }
 
 void CoalescingModel::intern_groups(
-    const std::vector<web::PageLoad>& loads) const {
+    std::span<const web::PageLoad> loads) const {
   // Serial prepass: assign any not-yet-seen group id in input order, so
   // the parallel region below only ever *reads* the symbol table and ids
   // are identical at every thread count.

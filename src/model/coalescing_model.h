@@ -18,12 +18,14 @@
 // Hot-path representation (DESIGN.md §10): group keys are interned
 // SymbolIds, not strings. All group ids for the serving world are assigned
 // in a serial pass at construction, and the batch APIs run a serial intern
-// prepass over their inputs, so ids — and therefore all outputs — are
-// bit-identical at any thread count. The string-keyed seed implementation
-// is preserved in baseline_model.h as the golden reference.
+// prepass over their inputs; the parallel bodies then only look ids up. So
+// ids — and therefore all outputs — are bit-identical at any thread count.
+// The string-keyed seed implementation is preserved in baseline_model.h as
+// the golden reference.
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -123,12 +125,14 @@ class CoalescingModel {
  public:
   // Interns one group id per existing service (plus the "as0" unknown-AS
   // bucket) in service order — the serial id-assignment pass the
-  // determinism contract requires. Services added to `env` later are still
-  // handled, via runtime interning; batch callers stay deterministic
-  // because of the serial prepass in the batch APIs.
+  // determinism contract requires. Keys outside this primed world
+  // (services added to `env` later, hand-built loads) are interned by the
+  // serial entry points: analyze(), the batch APIs' prepass, group_of().
   explicit CoalescingModel(const browser::Environment& env,
                            Grouping grouping = Grouping::kAsn);
 
+  // Interns the page's group keys, then analyzes it. Serial: do not call
+  // concurrently with other calls on this model (use analyze_batch).
   PageAnalysis analyze(const web::PageLoad& load) const;
   PageAnalysis analyze(const web::PageLoad& load,
                        AnalysisScratch& scratch) const;
@@ -174,9 +178,9 @@ class CoalescingModel {
       const std::string& restrict_to_group = "",
       std::size_t threads = 1) const;
 
-  // Group id for a hostname under the configured grouping. Thread-safe;
-  // deterministic ids require the serial-prepass discipline (see class
-  // comment).
+  // Group id for a hostname under the configured grouping, interning the
+  // key on first sight. Serial: do not call concurrently with other calls
+  // on this model.
   util::SymbolId group_of(const std::string& hostname,
                           std::uint32_t asn) const;
 
@@ -210,14 +214,26 @@ class CoalescingModel {
                             AnalysisScratch& scratch) const;
   // Serial intern prepass over a batch input: assigns any not-yet-seen
   // group id in input order before the parallel region runs.
-  void intern_groups(const std::vector<web::PageLoad>& loads) const;
-  util::SymbolId asn_group(std::uint32_t asn) const;
-  util::SymbolId intern_key(std::string_view prefix,
-                            std::string_view rest) const;
+  void intern_groups(std::span<const web::PageLoad> loads) const;
+
+  // A (hostname, asn) pair resolves either to an id primed at construction
+  // or to the spelled-out key prefix + rest, which needs the symbol table.
+  struct GroupKey {
+    util::SymbolId primed = util::kInvalidSymbol;
+    std::string_view prefix;
+    std::string_view rest;
+  };
+  GroupKey group_key(std::string_view hostname, std::uint32_t asn,
+                     char (&asn_buffer)[16]) const;
+  // The parallel bodies' resolution: lookups only, and a key the serial
+  // prepass did not intern is an ORIGIN_CHECK failure.
+  util::SymbolId lookup_group(std::string_view hostname,
+                              std::uint32_t asn) const;
 
   const browser::Environment& env_;
   Grouping grouping_;
-  // Interning in const analysis paths (unknown hosts/ASes at runtime).
+  // Written only by the serial paths (constructor, intern_groups,
+  // group_of); the parallel bodies only read it.
   mutable util::Interner groups_;
   util::FlatMap<std::uint32_t, util::SymbolId> asn_groups_;
   std::vector<util::SymbolId> service_groups_;  // by service index

@@ -1,4 +1,4 @@
-// Append-only, thread-safe string interner: string_view -> uint32 SymbolId.
+// Append-only, single-writer string interner: string_view -> uint32 SymbolId.
 //
 // This is the symbol table behind the interned-ID hot path (DESIGN.md §10).
 // The pipeline compares coalescing-group keys and hostnames millions of
@@ -6,30 +6,24 @@
 // string compare into an integer compare, the same move HPACK's
 // static/dynamic table indexing makes on the wire (RFC 7541).
 //
-// Concurrency contract:
-//   * intern() is serialized by a mutex and may be called from any thread;
-//   * lookup(), name(), and size() are lock-free and safe concurrently
-//     with intern(): the probe table and the id->view directory are
-//     published with release stores and read with acquire loads, and
-//     superseded tables are retired (not freed) until destruction, so a
-//     reader holding a stale snapshot only ever sees a subset;
-//   * IDs are assigned sequentially in intern() call order. Deterministic
-//     outputs at any thread count therefore require the PR 2 discipline:
-//     intern everything in a serial prepass (construction, batch-API entry)
-//     and keep the parallel region to lookups of already-present symbols
-//     (which intern() also satisfies without taking the insert path).
+// Concurrency contract: one writer, then many readers. intern() and clear()
+// mutate the table and must not overlap any other call; lookup(), name()
+// and size() are const and may run concurrently with each other once the
+// writes are done. Deterministic outputs at any thread count follow from
+// the same discipline: intern everything in a serial prepass (construction,
+// batch-API entry) and keep the parallel region to lookups.
+//
+// IDs are assigned sequentially in first-appearance order, so two tables
+// fed the same sequence agree id for id.
 #pragma once
 
-#include <atomic>
 #include <cstddef>
 #include <cstdint>
 #include <deque>
-#include <memory>
 #include <string>
 #include <string_view>
-#include <vector>
 
-#include "util/thread_annotations.h"
+#include "util/flat_map.h"
 
 namespace origin::util {
 
@@ -38,59 +32,33 @@ inline constexpr SymbolId kInvalidSymbol = 0xFFFFFFFFu;
 
 class Interner {
  public:
-  Interner();
-  ~Interner() = default;
+  Interner() = default;
   Interner(const Interner&) = delete;
   Interner& operator=(const Interner&) = delete;
 
   // Returns the id for `name`, inserting it on first sight. The returned
-  // string_view from name() stays valid for the interner's lifetime.
-  SymbolId intern(std::string_view name) ORIGIN_EXCLUDES(mu_);
+  // string_view from name() stays valid until clear() or destruction.
+  SymbolId intern(std::string_view name);
 
-  // Lock-free; kInvalidSymbol if the string has never been interned.
-  SymbolId lookup(std::string_view name) const;
+  // kInvalidSymbol if the string has never been interned.
+  SymbolId lookup(std::string_view name) const {
+    const SymbolId* id = index_.find(name);
+    return id == nullptr ? kInvalidSymbol : *id;
+  }
 
-  // Lock-free; `id` must come from this interner.
+  // `id` must come from this interner.
   std::string_view name(SymbolId id) const;
 
-  std::size_t size() const { return size_.load(std::memory_order_acquire); }
+  std::size_t size() const { return names_.size(); }
+
+  // Drops every symbol; ids restart at 0. The index keeps its capacity.
+  void clear();
 
  private:
-  // Probe table slot word: (hash's upper 32 bits) << 32 | (id + 1).
-  // 0 means empty; id + 1 keeps the word nonzero even for fingerprint 0.
-  struct Table {
-    std::size_t mask = 0;
-    std::unique_ptr<std::atomic<std::uint64_t>[]> slots;
-  };
-
-  // id -> string_view directory: fixed-size chunks behind a growable
-  // pointer array, so already-published views never move.
-  static constexpr std::size_t kChunkShift = 10;
-  static constexpr std::size_t kChunkSize = std::size_t{1} << kChunkShift;
-  struct Chunk {
-    std::string_view views[kChunkSize];
-  };
-  struct Directory {
-    std::size_t capacity = 0;
-    std::unique_ptr<std::atomic<Chunk*>[]> chunks;
-  };
-
-  SymbolId probe(const Table& table, std::string_view name,
-                 std::uint64_t hash) const;
-  void grow_table() ORIGIN_REQUIRES(mu_);
-  void publish_view(SymbolId id, std::string_view view) ORIGIN_REQUIRES(mu_);
-
-  mutable Mutex mu_;
-  std::atomic<Table*> table_;
-  std::atomic<Directory*> directory_;
-  std::atomic<std::size_t> size_{0};
-
-  // Owning storage. Append-only, pruned only at destruction; readers may
-  // hold pointers into any generation.
-  std::deque<std::string> storage_ ORIGIN_GUARDED_BY(mu_);
-  std::vector<std::unique_ptr<Table>> tables_ ORIGIN_GUARDED_BY(mu_);
-  std::vector<std::unique_ptr<Directory>> directories_ ORIGIN_GUARDED_BY(mu_);
-  std::vector<std::unique_ptr<Chunk>> chunks_ ORIGIN_GUARDED_BY(mu_);
+  // The deque keeps views stable as names are appended; the index keys
+  // are views into it.
+  std::deque<std::string> names_;
+  FlatMap<std::string_view, SymbolId> index_;
 };
 
 }  // namespace origin::util

@@ -1,11 +1,10 @@
-// util::Interner: stable sequential ids, lock-free lookup, and id
-// determinism under the serial-prepass + parallel-lookup discipline the
-// model layer relies on (PR 2 determinism contract).
+// util::Interner: stable sequential ids, clear(), and id determinism under
+// the serial-prepass + parallel-lookup discipline the model layer relies on
+// (DESIGN.md §10).
 #include "util/interner.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
 #include <thread>
 #include <vector>
@@ -67,8 +66,8 @@ TEST(Interner, IdsAreAFunctionOfInsertionOrderOnly) {
 }
 
 TEST(Interner, SurvivesTableAndDirectoryGrowth) {
-  // Push far past the initial table (64 slots) and directory chunk (1024
-  // views) sizes; every id must stay readable through the growth.
+  // Push far past the index's initial capacity and several deque blocks;
+  // every id and every view must stay valid through the growth.
   Interner interner;
   constexpr int kCount = 5000;
   std::vector<SymbolId> ids;
@@ -85,67 +84,43 @@ TEST(Interner, SurvivesTableAndDirectoryGrowth) {
   }
 }
 
-TEST(Interner, ConcurrentInternOfDistinctAndSharedKeys) {
-  // Writers race on a mix of thread-private and shared keys; every key must
-  // end with exactly one id, and names must round-trip. Run under TSan via
-  // scripts/check.sh for the memory-ordering claims.
+TEST(Interner, ClearRestartsIds) {
   Interner interner;
-  constexpr int kThreads = 8;
-  constexpr int kPerThread = 400;
-  std::vector<std::thread> workers;
-  std::vector<std::vector<SymbolId>> shared_ids(kThreads);
-  for (int t = 0; t < kThreads; ++t) {
-    workers.emplace_back([&, t] {
-      shared_ids[t].reserve(kPerThread);
-      for (int i = 0; i < kPerThread; ++i) {
-        interner.intern("private-" + std::to_string(t) + "-" +
-                        std::to_string(i));
-        shared_ids[t].push_back(interner.intern("shared-" +
-                                                std::to_string(i)));
-      }
-    });
-  }
-  for (auto& worker : workers) worker.join();
-  EXPECT_EQ(interner.size(),
-            static_cast<std::size_t>(kThreads * kPerThread + kPerThread));
-  for (int i = 0; i < kPerThread; ++i) {
-    const SymbolId id = interner.lookup("shared-" + std::to_string(i));
-    ASSERT_NE(id, kInvalidSymbol);
-    for (int t = 0; t < kThreads; ++t) EXPECT_EQ(shared_ids[t][i], id);
-  }
-  for (int t = 0; t < kThreads; ++t) {
-    for (int i = 0; i < kPerThread; ++i) {
-      const std::string key =
-          "private-" + std::to_string(t) + "-" + std::to_string(i);
-      const SymbolId id = interner.lookup(key);
-      ASSERT_NE(id, kInvalidSymbol);
-      EXPECT_EQ(interner.name(id), key);
-    }
-  }
+  interner.intern("old-a");
+  interner.intern("old-b");
+  interner.clear();
+  EXPECT_EQ(interner.size(), 0u);
+  EXPECT_EQ(interner.lookup("old-a"), kInvalidSymbol);
+  EXPECT_EQ(interner.lookup("old-b"), kInvalidSymbol);
+  EXPECT_EQ(interner.intern("new"), 0u);
+  EXPECT_EQ(interner.intern("old-b"), 1u);
+  EXPECT_EQ(interner.name(0), "new");
+  EXPECT_EQ(interner.lookup("old-a"), kInvalidSymbol);
 }
 
-TEST(Interner, ConcurrentReadersSeeConsistentSnapshots) {
-  // Readers run lock-free lookups while a writer grows the table through
-  // several doublings; a reader may miss a fresh key but must never see a
-  // wrong id or a torn name.
+TEST(Interner, ConcurrentLookupsAfterSerialInserts) {
+  // The single-writer contract: once the serial inserts are done, any
+  // number of threads may read. Run under TSan via scripts/check.sh.
   Interner interner;
-  std::atomic<bool> stop{false};
+  constexpr int kCount = 3000;
+  for (int i = 0; i < kCount; ++i) interner.intern("key-" + std::to_string(i));
   std::vector<std::thread> readers;
-  for (int t = 0; t < 4; ++t) {
-    readers.emplace_back([&] {
-      while (!stop.load(std::memory_order_acquire)) {
-        const std::size_t visible = interner.size();
-        for (std::size_t id = 0; id < visible; ++id) {
-          const std::string_view view =
-              interner.name(static_cast<SymbolId>(id));
-          ASSERT_EQ(interner.lookup(view), static_cast<SymbolId>(id));
+  std::vector<int> mismatches(8, 0);
+  for (int t = 0; t < 8; ++t) {
+    readers.emplace_back([&, t] {
+      for (int i = 0; i < kCount; ++i) {
+        const std::string key = "key-" + std::to_string(i);
+        const SymbolId id = interner.lookup(key);
+        if (id != static_cast<SymbolId>(i) || interner.name(id) != key) {
+          ++mismatches[t];
         }
       }
+      if (interner.lookup("absent") != kInvalidSymbol) ++mismatches[t];
     });
   }
-  for (int i = 0; i < 3000; ++i) interner.intern("key-" + std::to_string(i));
-  stop.store(true, std::memory_order_release);
   for (auto& reader : readers) reader.join();
+  for (int t = 0; t < 8; ++t) EXPECT_EQ(mismatches[t], 0) << "reader " << t;
+  EXPECT_EQ(interner.size(), static_cast<std::size_t>(kCount));
 }
 
 }  // namespace

@@ -240,6 +240,76 @@ TEST(PipelineDeterminism, InternedModelMatchesStringKeyedBaseline) {
   }
 }
 
+// Keys outside the primed world: ASes no service has and (under kService)
+// hostnames no service serves. The batch APIs intern them in their serial
+// prepass, so the parallel bodies only look them up, and ids and
+// reconstructions match at 1 and 8 threads and match serial analyze().
+TEST(PipelineDeterminism, UnprimedKeysResolveInPrepass) {
+  dataset::Corpus corpus(corpus_options(1));
+  std::vector<web::PageLoad> loads;
+  dataset::CollectOptions options;
+  options.max_sites = 30;
+  dataset::collect(corpus, options,
+                   [&](const dataset::SiteInfo&, const web::PageLoad& load) {
+                     loads.push_back(load);
+                   });
+  ASSERT_FALSE(loads.empty());
+  for (std::size_t i = 0; i < loads.size(); ++i) {
+    auto& entries = loads[i].entries;
+    for (std::size_t j = 1; j < entries.size(); j += 3) {
+      entries[j].secure = true;
+      entries[j].asn = 4'200'000'000u + static_cast<std::uint32_t>(i % 5);
+      if (j % 2 == 1) {
+        entries[j].hostname = "unprimed-" + std::to_string(i % 7) + ".example";
+      }
+    }
+  }
+
+  for (auto grouping :
+       {model::Grouping::kAsn, model::Grouping::kProvider,
+        model::Grouping::kService}) {
+    SCOPED_TRACE(model::grouping_name(grouping));
+    // Fresh models per run: every unprimed id is assigned by that run.
+    model::CoalescingModel serial_model(corpus.env(), grouping);
+    std::vector<model::PageAnalysis> serial;
+    std::vector<std::string> serial_hars;
+    for (const auto& load : loads) {
+      serial.push_back(serial_model.analyze(load));
+      serial_hars.push_back(web::to_har_string(
+          serial_model.reconstruct(load, serial.back())));
+    }
+    const std::string unprimed_key =
+        grouping == model::Grouping::kService ? "host:unprimed-0.example"
+                                              : "as4200000000";
+    EXPECT_NE(serial_model.find_group(unprimed_key), util::kInvalidSymbol);
+
+    for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
+      SCOPED_TRACE(threads);
+      model::CoalescingModel batch_model(corpus.env(), grouping);
+      const auto analyses = batch_model.analyze_batch(loads, threads);
+      model::CoalescingModel replay_model(corpus.env(), grouping);
+      const auto replayed = replay_model.replay_batch(loads, "", threads);
+      ASSERT_EQ(analyses.size(), loads.size());
+      ASSERT_EQ(replayed.size(), loads.size());
+      for (std::size_t i = 0; i < loads.size(); ++i) {
+        ASSERT_EQ(analyses[i].entries.size(), serial[i].entries.size());
+        for (std::size_t j = 0; j < analyses[i].entries.size(); ++j) {
+          EXPECT_EQ(analyses[i].entries[j].group, serial[i].entries[j].group)
+              << "page " << i << " entry " << j;
+          EXPECT_EQ(analyses[i].entries[j].coalescable_origin,
+                    serial[i].entries[j].coalescable_origin);
+        }
+        EXPECT_EQ(web::to_har_string(replayed[i]), serial_hars[i])
+            << "page " << i;
+      }
+      EXPECT_EQ(batch_model.find_group(unprimed_key),
+                serial_model.find_group(unprimed_key));
+      EXPECT_EQ(replay_model.find_group(unprimed_key),
+                serial_model.find_group(unprimed_key));
+    }
+  }
+}
+
 // End-to-end passive measurement: the full longitudinal experiment (page
 // loads + hash-sampled aggregation) is bitwise identical at 1 vs 8 threads.
 TEST(PipelineDeterminism, PassiveLongitudinalIsThreadCountInvariant) {
