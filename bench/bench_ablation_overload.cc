@@ -19,8 +19,8 @@
 // byte-identical — the determinism contract extended to every overload
 // counter and close reason.
 //
-// Emits BENCH_overload.json (mirrored to the repo root via
-// ORIGIN_REPO_ROOT like the perf benches). Exit status is nonzero if:
+// Publishes BENCH_overload.json through the bench harness
+// (bench_common.h). Exit status is nonzero if:
 //   * well-behaved completion under attack with defenses on drops
 //     below 99%;
 //   * any attacker survives the armed defenses, or any session stays
@@ -29,14 +29,14 @@
 //     ablation proves nothing);
 //   * p99 well-behaved PLT under attack exceeds the bound;
 //   * the ledgers differ across thread counts;
-//   * p99 regresses >10% vs the committed BENCH_overload.json.
+//   * defended p99 rises >10% over the committed BENCH_overload.json
+//     (the harness gate).
 //
 // Env: ORIGIN_ABUSE_MIX overrides the attacker mix, ORIGIN_OVERLOAD_SEED
 // the schedule seed (also --seed).
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <memory>
 #include <string>
 #include <vector>
@@ -295,23 +295,6 @@ std::vector<Cell> run_all(const h2::AbuseMix& mix, std::uint64_t seed,
   return cells;
 }
 
-double committed_p99_ms(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return 0.0;
-  std::string text((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  auto parsed = origin::util::Json::parse(text);
-  if (!parsed.ok()) return 0.0;
-  return (*parsed)["defended_attack_p99_ms"].double_or(0.0);
-}
-
-bool write_file(const std::string& path, const std::string& contents) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << contents;
-  return static_cast<bool>(out);
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -357,8 +340,6 @@ int main(int argc, char** argv) {
   const Cell* on_attack = &cells[3];
 
   util::Json::Object doc;
-  doc["bench"] = "overload";
-  doc["seed"] = seed;
   doc["mix"] = mix.serialize();
   doc["worlds_per_cell"] = kWorldsPerCell;
   doc["good_loads_per_world"] = kGoodClients;
@@ -376,20 +357,12 @@ int main(int argc, char** argv) {
     entry["attacker_frames_absorbed"] = cell.attacker_frames;
     entry["pinned_sessions"] = static_cast<std::uint64_t>(
         cell.pinned_sessions);
-    cell_array.push_back(util::Json(std::move(entry)));
+    cell_array.emplace_back(std::move(entry));
   }
   doc["cells"] = util::Json(std::move(cell_array));
   doc["defended_attack_completion"] = on_attack->completion();
   doc["defended_attack_p99_ms"] = on_attack->percentile_ms(0.99);
   doc["deterministic_across_threads"] = deterministic;
-  doc["peak_rss_bytes"] = bench::peak_rss_bytes();
-  const std::string rendered = util::Json(std::move(doc)).dump(2) + "\n";
-
-  if (!write_file("BENCH_overload.json", rendered)) {
-    std::fprintf(stderr, "cannot write BENCH_overload.json\n");
-    return 1;
-  }
-  std::printf("wrote BENCH_overload.json\n");
 
   int exit_code = 0;
   if (on_attack->completion() < 0.99) {
@@ -427,25 +400,12 @@ int main(int argc, char** argv) {
     exit_code = 1;
   }
 
-#ifdef ORIGIN_REPO_ROOT
-  const std::string committed =
-      std::string(ORIGIN_REPO_ROOT) + "/BENCH_overload.json";
-  const double committed_p99 = committed_p99_ms(committed);
-  const double p99 = on_attack->percentile_ms(0.99);
-  if (committed_p99 > 0 && p99 > committed_p99 * 1.1) {
-    std::fprintf(stderr,
-                 "FAIL: defended p99 under attack regressed >10%% vs "
-                 "committed baseline (%.1f -> %.1f ms); leaving %s "
-                 "untouched\n",
-                 committed_p99, p99, committed.c_str());
-    exit_code = 1;
-  } else if (exit_code == 0) {
-    if (!write_file(committed, rendered)) {
-      std::fprintf(stderr, "cannot write %s\n", committed.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", committed.c_str());
-  }
-#endif
-  return exit_code;
+  const bench::Gate p99{
+      "defended_attack_p99_ms",
+      [](const util::Json& d) { return d["defended_attack_p99_ms"]; },
+      bench::Gate::Kind::kMaxRisePct, 10};
+  return bench::publish({"overload", seed, std::nullopt}, std::move(doc),
+                        exit_code == 0, {p99})
+             ? 0
+             : 1;
 }

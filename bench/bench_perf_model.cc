@@ -2,17 +2,11 @@
 // frozen string-keyed seed implementation (model/baseline_model.h), on the
 // same corpus in the same run.
 //
-// Emits BENCH_model.json in the working directory and, when built with
-// ORIGIN_REPO_ROOT (the default via bench/CMakeLists.txt), mirrors it to the
-// repo root so the committed baseline tracks the tree. Two gates make the
-// exit status meaningful for scripts/check.sh's perf leg:
-//   * fused replay_batch throughput (the consume overload — the in-place
-//     corpus-replay fast path) must be >= 3x the string-keyed baseline
-//     (the acceptance gate, both sides measured in the same run);
-//   * if a committed BENCH_model.json exists at the repo root, the new
-//     fused-batch throughput must not regress by more than 10%; on a
-//     regression the committed baseline is left untouched and the bench
-//     exits non-zero.
+// Publishes BENCH_model.json through the bench harness (bench_common.h).
+// Fused replay_batch throughput (the consume overload — the in-place
+// corpus-replay fast path) must be >= 3x the string-keyed baseline measured
+// in the same run (the acceptance check), and `fused_batch.pages_per_sec`
+// may fall at most 10% below the committed baseline (the harness gate).
 // Allocation counts come from a global operator new hook: total allocations
 // per page for the baseline loop vs the interned fused path, plus the
 // steady-state count for a second fused pass over warmed per-thread scratch.
@@ -20,9 +14,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
-#include <fstream>
 #include <new>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -70,9 +62,7 @@ Measurement timed(Fn&& body) {
   g_counting.store(true, std::memory_order_relaxed);
   const auto start = std::chrono::steady_clock::now();
   body();
-  m.ms = std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-             .count();
+  m.ms = origin::bench::ms_since(start);
   g_counting.store(false, std::memory_order_relaxed);
   m.allocations = g_allocations.load(std::memory_order_relaxed);
   return m;
@@ -80,25 +70,6 @@ Measurement timed(Fn&& body) {
 
 double pages_per_sec(std::size_t pages, double ms) {
   return ms <= 0 ? 0.0 : static_cast<double>(pages) * 1000.0 / ms;
-}
-
-// Reads the committed baseline's fused-batch throughput, if present.
-// Returns <= 0 when there is no baseline (first run) or it is unreadable.
-double committed_fused_pages_per_sec(const std::string& path) {
-  std::ifstream in(path);
-  if (!in) return 0.0;
-  std::stringstream buffer;
-  buffer << in.rdbuf();
-  auto parsed = origin::util::Json::parse(buffer.str());
-  if (!parsed.ok()) return 0.0;
-  return (*parsed)["fused_batch"]["pages_per_sec"].double_or(0.0);
-}
-
-bool write_file(const std::string& path, const std::string& contents) {
-  std::ofstream out(path);
-  if (!out) return false;
-  out << contents;
-  return static_cast<bool>(out);
 }
 
 }  // namespace
@@ -212,9 +183,6 @@ int main(int argc, char** argv) {
     return util::Json(std::move(object));
   };
   util::Json::Object doc;
-  doc["bench"] = "model";
-  doc["sites"] = args.sites;
-  doc["seed"] = args.seed;
   doc["pages"] = pages;
   doc["threads"] = threads;
   doc["baseline_string_serial"] = entry(baseline_run);
@@ -222,44 +190,23 @@ int main(int argc, char** argv) {
   doc["reconstruct_batch"] = entry(reconstruct_run);
   doc["fused_batch_cold"] = entry(fused_run);
   doc["fused_batch_copying"] = entry(fused_copying);
-  doc["fused_batch"] = entry(fused_consume);  // gate + regression metric
+  doc["fused_batch"] = entry(fused_consume);  // check + gate metric
   doc["fused_batch_serial"] = entry(fused_serial);
   doc["fused_speedup_vs_baseline"] = speedup;
-  doc["peak_rss_bytes"] = bench::peak_rss_bytes();
-  const std::string rendered = util::Json(std::move(doc)).dump(2) + "\n";
 
-  if (!write_file("BENCH_model.json", rendered)) {
-    std::fprintf(stderr, "cannot write BENCH_model.json\n");
-    return 1;
-  }
-  std::printf("wrote BENCH_model.json\n");
-
-  int exit_code = 0;
-  if (speedup < 3.0) {
+  const bool fast_enough = speedup >= 3.0;
+  if (!fast_enough) {
     std::fprintf(stderr,
                  "FAIL: fused batch is %.2fx the string-keyed baseline "
                  "(acceptance gate is 3x)\n",
                  speedup);
-    exit_code = 1;
   }
-
-#ifdef ORIGIN_REPO_ROOT
-  const std::string committed = std::string(ORIGIN_REPO_ROOT) +
-                                "/BENCH_model.json";
-  const double committed_pps = committed_fused_pages_per_sec(committed);
-  if (committed_pps > 0 && fused_pps < committed_pps * 0.9) {
-    std::fprintf(stderr,
-                 "FAIL: fused batch regressed >10%% vs committed baseline "
-                 "(%.0f -> %.0f pages/s); leaving %s untouched\n",
-                 committed_pps, fused_pps, committed.c_str());
-    exit_code = 1;
-  } else if (exit_code == 0) {
-    if (!write_file(committed, rendered)) {
-      std::fprintf(stderr, "cannot write %s\n", committed.c_str());
-      return 1;
-    }
-    std::printf("wrote %s\n", committed.c_str());
-  }
-#endif
-  return exit_code;
+  const bench::Gate throughput{
+      "fused_batch.pages_per_sec",
+      [](const util::Json& d) { return d["fused_batch"]["pages_per_sec"]; },
+      bench::Gate::Kind::kMaxFallPct, 10};
+  return bench::publish({"model", args.seed, args.sites}, std::move(doc),
+                        fast_enough, {throughput})
+             ? 0
+             : 1;
 }

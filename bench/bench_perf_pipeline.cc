@@ -1,12 +1,15 @@
 // Pipeline scaling bench: wall-clock for the sharded corpus pipeline
 // (generate -> load -> model) at 1/2/4/8 worker threads.
 //
-// Emits BENCH_pipeline.json in the working directory with per-stage times,
-// speedups relative to the serial fallback, and a digest of the serialized
-// HAR stream per run — the digest must be identical across thread counts
-// (the determinism contract; also enforced bitwise by
-// pipeline_determinism_test). Wall-clock speedups are only meaningful on a
-// multi-core host; on one core the interesting column is the digest.
+// Publishes BENCH_pipeline.json through the bench harness (bench_common.h)
+// with per-stage times, speedups relative to the serial fallback, and a
+// digest of the serialized HAR stream per run — the digest must be
+// identical across thread counts (the determinism contract; also enforced
+// bitwise by pipeline_determinism_test), and a mismatch fails the run.
+// `digest_ms` is the serial HAR-digest sink (print each page as HAR JSON,
+// FNV it), timed apart from the parallel page loads in `load_ms`.
+// Wall-clock speedups are only meaningful on a multi-core host; on one core
+// the interesting column is the digest.
 #include <chrono>
 #include <cstdio>
 #include <string>
@@ -23,17 +26,14 @@ struct RunResult {
   std::size_t threads = 1;
   double generate_ms = 0;
   double load_ms = 0;
+  double digest_ms = 0;
   double model_ms = 0;
   std::uint64_t har_digest = 0;
   std::size_t pages = 0;
-  double total_ms() const { return generate_ms + load_ms + model_ms; }
+  double total_ms() const {
+    return generate_ms + load_ms + digest_ms + model_ms;
+  }
 };
-
-double ms_since(std::chrono::steady_clock::time_point start) {
-  return std::chrono::duration<double, std::milli>(
-             std::chrono::steady_clock::now() - start)
-      .count();
-}
 
 RunResult run_once(const origin::bench::Args& args, std::size_t threads,
                    std::size_t max_pages) {
@@ -47,7 +47,7 @@ RunResult run_once(const origin::bench::Args& args, std::size_t threads,
   corpus_options.seed = args.seed;
   corpus_options.threads = threads;
   dataset::Corpus corpus(corpus_options);
-  result.generate_ms = ms_since(t0);
+  result.generate_ms = bench::ms_since(t0);
 
   t0 = std::chrono::steady_clock::now();
   auto collect_options = bench::chrome_collect_options();
@@ -55,13 +55,17 @@ RunResult run_once(const origin::bench::Args& args, std::size_t threads,
   collect_options.max_sites = max_pages;
   std::vector<web::PageLoad> loads;
   std::uint64_t digest = origin::util::fnv1a64("pipeline");
+  // collect() loads each chunk in parallel, then runs the sink serially in
+  // index order, so the sink's time is a disjoint slice of the wall.
   dataset::collect(corpus, collect_options,
                    [&](const dataset::SiteInfo&, const web::PageLoad& load) {
+                     const auto d0 = std::chrono::steady_clock::now();
                      digest = origin::util::fnv1a64(web::to_har_string(load),
                                                     digest);
+                     result.digest_ms += bench::ms_since(d0);
                      loads.push_back(load);
                    });
-  result.load_ms = ms_since(t0);
+  result.load_ms = bench::ms_since(t0) - result.digest_ms;
   result.har_digest = digest;
   result.pages = loads.size();
 
@@ -70,7 +74,7 @@ RunResult run_once(const origin::bench::Args& args, std::size_t threads,
   auto analyses = model.analyze_batch(loads, threads);
   auto reconstructed = model.reconstruct_batch(loads, analyses, "", threads);
   (void)reconstructed;
-  result.model_ms = ms_since(t0);
+  result.model_ms = bench::ms_since(t0);
   return result;
 }
 
@@ -80,7 +84,8 @@ int main(int argc, char** argv) {
   using namespace origin;
   auto args = bench::Args::parse(argc, argv);
   bench::print_header(
-      "Pipeline scaling: generate -> load -> model at 1/2/4/8 threads",
+      "Pipeline scaling: generate -> load -> digest -> model at 1/2/4/8 "
+      "threads",
       "engineering bench (no paper figure); determinism contract of the "
       "sharded pipeline",
       args);
@@ -94,10 +99,10 @@ int main(int argc, char** argv) {
     runs.push_back(run_once(args, threads, max_pages));
     const RunResult& r = runs.back();
     std::printf(
-        "threads=%zu  generate=%8.1fms  load=%8.1fms  model=%8.1fms  "
-        "total=%8.1fms  speedup=%.2fx  digest=%016llx\n",
-        r.threads, r.generate_ms, r.load_ms, r.model_ms, r.total_ms(),
-        runs.front().total_ms() / r.total_ms(),
+        "threads=%zu  generate=%8.1fms  load=%8.1fms  digest=%8.1fms  "
+        "model=%8.1fms  total=%8.1fms  speedup=%.2fx  har_digest=%016llx\n",
+        r.threads, r.generate_ms, r.load_ms, r.digest_ms, r.model_ms,
+        r.total_ms(), runs.front().total_ms() / r.total_ms(),
         static_cast<unsigned long long>(r.har_digest));
   }
 
@@ -111,47 +116,28 @@ int main(int argc, char** argv) {
   std::printf("\nHAR digest identical across thread counts: %s\n",
               deterministic ? "yes" : "NO — DETERMINISM VIOLATION");
 
-  std::string json;
-  char line[256];
-  auto append = [&](const char* fmt, auto... values) {
-    std::snprintf(line, sizeof(line), fmt, values...);
-    json += line;
-  };
-  append("{\n");
-  append("  \"bench\": \"pipeline\",\n");
-  append("  \"sites\": %zu,\n", args.sites);
-  append("  \"seed\": %llu,\n", static_cast<unsigned long long>(args.seed));
-  append("  \"pages\": %zu,\n", runs.front().pages);
-  append("  \"deterministic\": %s,\n", deterministic ? "true" : "false");
-  append("  \"peak_rss_bytes\": %llu,\n",
-         static_cast<unsigned long long>(bench::peak_rss_bytes()));
-  append("  \"runs\": [\n");
-  for (std::size_t i = 0; i < runs.size(); ++i) {
-    const RunResult& r = runs[i];
-    append("    {\"threads\": %zu, \"generate_ms\": %.3f, "
-           "\"load_ms\": %.3f, \"model_ms\": %.3f, \"total_ms\": %.3f, "
-           "\"speedup_vs_serial\": %.3f, \"har_digest\": \"%016llx\"}%s\n",
-           r.threads, r.generate_ms, r.load_ms, r.model_ms, r.total_ms(),
-           runs.front().total_ms() / r.total_ms(),
-           static_cast<unsigned long long>(r.har_digest),
-           i + 1 < runs.size() ? "," : "");
+  util::Json::Array run_array;
+  for (const RunResult& r : runs) {
+    char digest[32];
+    std::snprintf(digest, sizeof(digest), "%016llx",
+                  static_cast<unsigned long long>(r.har_digest));
+    util::Json::Object entry;
+    entry["threads"] = static_cast<std::uint64_t>(r.threads);
+    entry["generate_ms"] = r.generate_ms;
+    entry["load_ms"] = r.load_ms;
+    entry["digest_ms"] = r.digest_ms;
+    entry["model_ms"] = r.model_ms;
+    entry["total_ms"] = r.total_ms();
+    entry["speedup_vs_serial"] = runs.front().total_ms() / r.total_ms();
+    entry["har_digest"] = digest;
+    run_array.emplace_back(std::move(entry));
   }
-  append("  ]\n}\n");
-
-  // Working directory first, then the repo-root mirror the perf leg tracks.
-  std::vector<std::string> outputs = {"BENCH_pipeline.json"};
-#ifdef ORIGIN_REPO_ROOT
-  outputs.push_back(std::string(ORIGIN_REPO_ROOT) + "/BENCH_pipeline.json");
-#endif
-  for (const auto& path : outputs) {
-    std::FILE* out = std::fopen(path.c_str(), "w");
-    if (out == nullptr) {
-      std::fprintf(stderr, "cannot write %s\n", path.c_str());
-      return 1;
-    }
-    std::fwrite(json.data(), 1, json.size(), out);
-    std::fclose(out);
-    std::printf("wrote %s\n", path.c_str());
-  }
-  return deterministic ? 0 : 1;
+  util::Json::Object doc;
+  doc["pages"] = static_cast<std::uint64_t>(runs.front().pages);
+  doc["deterministic"] = deterministic;
+  doc["runs"] = util::Json(std::move(run_array));
+  return bench::publish({"pipeline", args.seed, args.sites}, std::move(doc),
+                        deterministic, {})
+             ? 0
+             : 1;
 }

@@ -33,30 +33,31 @@
 #      allocator instrumented
 #   8. UBSan preset build + full ctest
 #   9. TSan preset build + the concurrency suites (thread pool stress +
-#      interner concurrent lookups + pipeline determinism +
+#      interner and FlatMap concurrent lookups + pipeline determinism +
 #      fault-schedule determinism + the overload
 #      ledger 1-vs-8-thread determinism checks) with ORIGIN_THREADS=8, so
 #      every shard path runs contended under the race detector
-#  10. perf: Release build of the perf + ablation benches; each emits its
-#      BENCH_*.json at the repo root and exits non-zero when a gate fails
-#      (bench_perf_model: fused replay >= 3x the string-keyed baseline and
-#      no >10% regression against the committed BENCH_model.json;
-#      bench_ablation_overload: >=99% well-behaved completion under attack,
-#      every attacker shed, zero pinned sessions, bounded p99, and no >10%
-#      defended-p99 regression against the committed BENCH_overload.json;
-#      bench_ablation_faults: no >10% degraded-median regression against
-#      the committed BENCH_faults.json;
-#      bench_perf_corpus: streamed/materialized StreamStats equality on the
-#      golden 1k corpus, per-shard content CRCs, no >10% streamed sites/sec
-#      regression against the committed BENCH_corpus.json — the CI-sized
-#      run (ORIGIN_CORPUS_SITES, default 50k) gates but never overwrites
-#      the committed 1M-site baseline numbers;
-#      bench_ablation_crash: the process-level kill–resume chaos matrix —
-#      a child is hard-killed (ORIGIN_CRASH_AT) at every crash-point class
-#      and resumed; every resume must be digest-identical to the
-#      uninterrupted baseline, a flipped shard byte must quarantine +
-#      rebuild, and the worst-case recovery overhead must not regress more
-#      than 10 points over the committed BENCH_crash.json)
+#  10. perf: Release build of the six benches that publish through the
+#      bench harness (bench/bench_common.h, DESIGN.md §16), run from
+#      build-perf/ so their working copies and spill dirs stay out of the
+#      tree. Each exits non-zero when one of its checks or its gate fails.
+#      One rule refreshes the committed repo-root BENCH_*.json: every check
+#      and gate passed and the run covered at least the committed `sites`
+#      (missing = 0). The gates, each against the committed file:
+#        bench_perf_model         fused_batch.pages_per_sec   fall <= 10%
+#        bench_perf_corpus        streamed.sites_per_sec      fall <= 10%
+#        bench_ablation_faults    degraded 5% median_plt_ms   rise <= 10%
+#        bench_ablation_overload  defended_attack_p99_ms      rise <= 10%
+#        bench_ablation_crash     max_recovery_overhead_pct   rise <= 10 pts
+#      and the checks: fused replay >= 3x the string-keyed baseline;
+#      identical HAR digests at 1/2/4/8 threads (pipeline); golden 1k
+#      streamed/materialized StreamStats equality (corpus; the default
+#      50k-site run matches the committed 50,000-site baseline); >=99%
+#      completion at 5% faults with degradation, the kill-switch replay;
+#      >=99% well-behaved completion under attack, every attacker shed,
+#      zero pinned sessions, bounded p99, 1-vs-8-thread ledger equality
+#      (overload); digest-identical resume at every crash-point class and
+#      flipped-byte quarantine + rebuild (crash)
 #
 # Usage: scripts/check.sh [--quick]
 #   --quick   tier-1 + lint + analyze only; skip the sanitizer rebuilds and
@@ -130,7 +131,7 @@ echo "==> [9/10] ThreadSanitizer preset (concurrency suites, 8 threads)"
 cmake -B build-tsan -S . -DORIGIN_SANITIZE=thread
 cmake --build build-tsan -j "$JOBS"
 ORIGIN_THREADS=8 ctest --test-dir build-tsan --output-on-failure \
-  -R 'ThreadPool|Interner|PipelineDeterminism|FaultDeterminism|BitIdenticalAcrossThreadCounts'
+  -R 'ThreadPool|Interner|FlatMap|PipelineDeterminism|FaultDeterminism|BitIdenticalAcrossThreadCounts'
 
 echo "==> [10/10] perf gates (Release benches, repo-root BENCH_*.json)"
 cmake -B build-perf -S . -DCMAKE_BUILD_TYPE=Release
@@ -138,11 +139,14 @@ cmake --build build-perf -j "$JOBS" \
   --target bench_perf_pipeline bench_perf_model bench_perf_corpus \
            bench_ablation_overload bench_ablation_faults \
            bench_ablation_crash
-./build-perf/bench/bench_perf_pipeline
-./build-perf/bench/bench_perf_model
-./build-perf/bench/bench_perf_corpus
-./build-perf/bench/bench_ablation_overload
-./build-perf/bench/bench_ablation_faults
-./build-perf/bench/bench_ablation_crash
+(
+  cd build-perf
+  ./bench/bench_perf_pipeline
+  ./bench/bench_perf_model
+  ./bench/bench_perf_corpus
+  ./bench/bench_ablation_overload
+  ./bench/bench_ablation_faults
+  ./bench/bench_ablation_crash
+)
 
 echo "==> all checks passed"

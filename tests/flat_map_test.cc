@@ -1,14 +1,16 @@
 // util::FlatMap / util::FlatSet: open-addressing behaviour under the
 // hot-path contracts — collision-heavy probing, growth across rehashes,
-// capacity-preserving clear(), heterogeneous lookup, and insertion-order
-// deterministic iteration.
+// capacity-preserving clear(), heterogeneous lookup, insertion-order
+// deterministic iteration, and concurrent reads after serial inserts.
 #include "util/flat_map.h"
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstdio>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -177,6 +179,34 @@ TEST(FlatMap, PairKeysWork) {
   EXPECT_EQ(*map.find(std::pair<int, std::uint64_t>{0, 7}), 2u);
   EXPECT_EQ(*map.find(std::pair<int, std::uint64_t>{1, 7}), 1u);
   EXPECT_EQ(map.find(std::pair<int, std::uint64_t>{2, 7}), nullptr);
+}
+
+TEST(FlatMap, ConcurrentLookupsAfterSerialInserts) {
+  // The read-only sharing the model's group lookup and
+  // browser::Environment's host routing rely on: once the serial inserts
+  // are done, any number of threads may look up with string_view keys.
+  // Run under TSan via scripts/check.sh.
+  FlatMap<std::string, int> map;
+  constexpr int kCount = 3000;
+  for (int i = 0; i < kCount; ++i) map.emplace("host-" + std::to_string(i), i);
+  const FlatMap<std::string, int>& shared = map;
+  std::vector<std::thread> readers;
+  std::vector<int> mismatches(8, 0);
+  for (int t = 0; t < 8; ++t) {
+    readers.emplace_back([&, t] {
+      char buffer[32];
+      for (int i = 0; i < kCount; ++i) {
+        const int length = std::snprintf(buffer, sizeof(buffer), "host-%d", i);
+        const std::string_view key(buffer, static_cast<std::size_t>(length));
+        const int* value = shared.find(key);
+        if (value == nullptr || *value != i) ++mismatches[t];
+      }
+      if (shared.contains(std::string_view("host-absent"))) ++mismatches[t];
+    });
+  }
+  for (auto& reader : readers) reader.join();
+  for (int t = 0; t < 8; ++t) EXPECT_EQ(mismatches[t], 0) << "reader " << t;
+  EXPECT_EQ(map.size(), static_cast<std::size_t>(kCount));
 }
 
 }  // namespace
