@@ -93,8 +93,6 @@ int run_child(std::size_t sites, std::uint64_t seed, std::size_t threads,
                  stats.error().message.c_str());
     return 1;
   }
-  const auto& recovery = streaming.recovery();
-
   char digest[32];
   Json::Object doc;
   doc["sites"] = static_cast<std::uint64_t>(stats->sites);
@@ -110,18 +108,9 @@ int run_child(std::size_t sites, std::uint64_t seed, std::size_t threads,
   doc["reconstructed_digest"] = digest;
   doc["passive_records"] =
       static_cast<std::uint64_t>(observer.pipeline().records().size());
-  doc["shards_reused"] = static_cast<std::uint64_t>(recovery.shards_reused);
-  doc["shards_regenerated"] =
-      static_cast<std::uint64_t>(recovery.shards_regenerated);
-  doc["shards_quarantined"] =
-      static_cast<std::uint64_t>(recovery.shards_quarantined);
-  doc["manifest_resets"] = static_cast<std::uint64_t>(recovery.manifest_resets);
-  doc["manifest_records_replayed"] =
-      static_cast<std::uint64_t>(recovery.manifest_records_replayed);
-  doc["stale_temps_swept"] =
-      static_cast<std::uint64_t>(recovery.stale_temps_swept);
-  doc["stale_shards_removed"] =
-      static_cast<std::uint64_t>(recovery.stale_shards_removed);
+  streaming.recovery().for_each([&doc](std::string_view name, auto n) {
+    doc[std::string(name)] = n;
+  });
   if (!bench::write_file(out, Json(std::move(doc)).dump(2) + "\n")) {
     std::fprintf(stderr, "child cannot write %s\n", out.c_str());
     return 1;

@@ -309,16 +309,14 @@ int main(int argc, char** argv) {
 
   util::Json::Array cell_array;
   for (const Cell& cell : cells) {
-    const auto& totals = cell.report.totals();
     util::Json::Object entry;
     entry["rate"] = cell.rate;
     entry["degradation"] = cell.degraded;
     entry["completion_rate"] = cell.success_rate();
     entry["median_plt_ms"] = cell.median_plt_ms();
-    entry["retries"] = totals.retries;
-    entry["connections_torn_down"] = totals.connections_torn_down;
-    entry["avoided_coalescings"] = totals.avoided_coalescings;
-    entry["deadline_expirations"] = totals.deadline_expirations;
+    cell.report.totals().for_each([&entry](std::string_view name, auto n) {
+      entry[std::string(name)] = n;
+    });
     cell_array.emplace_back(std::move(entry));
   }
   util::Json::Object kill_switch;

@@ -93,7 +93,7 @@ Outcome run_case(bool server_origin, int middlebox_kind) {
   Outcome outcome;
   client.load(page, [&](browser::WireLoadResult result) {
     outcome.page_ok = result.har.success;
-    outcome.torn_down = result.connections_torn_down;
+    outcome.torn_down = result.robustness.connections_torn_down;
     outcome.coalesced = result.coalesced_requests;
   });
   sim.run_until_idle();

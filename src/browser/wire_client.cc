@@ -538,9 +538,8 @@ void WireClient::open_connection(std::shared_ptr<LoadState> state,
           // finish_load closes its pool with "load complete"; that is not
           // a degradation event.
           if (state->finished) return;
-          ++state->result.connections_torn_down;
           ++state->result.robustness.connections_torn_down;
-          ++state->result.robustness.teardown_reasons[reason];
+          state->result.robustness.teardown_reasons.record(reason);
           if (!was_alive) return;  // streams already failed at the h2 layer
           // Every in-flight request on this connection fails (§6.7: the
           // user sees broken page loads) — or, with degradation enabled,

@@ -69,7 +69,6 @@ struct WireLoadResult {
   std::size_t connections_opened = 0;
   std::size_t coalesced_requests = 0;
   std::size_t retries_after_421 = 0;
-  std::size_t connections_torn_down = 0;
   bool complete = false;  // every resource got a terminal outcome
   std::vector<std::string> errors;
   netsim::RobustnessStats robustness;

@@ -45,6 +45,7 @@
 #include "util/durable_file.h"
 #include "util/flat_map.h"
 #include "util/interner.h"
+#include "util/ledger.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
 #include "web/har.h"
@@ -197,16 +198,30 @@ struct ShardInfo {
 // What recovery did on this run. Deliberately NOT part of StreamStats: a
 // resumed run must produce bit-identical StreamStats to an uninterrupted
 // one, while these counters describe the (run-specific) path taken there.
-struct RecoveryStats {
-  std::size_t stale_temps_swept = 0;      // torn `.tmp` files deleted
-  std::size_t stale_shards_removed = 0;   // unrecorded/foreign shard files
-  std::size_t manifest_records_replayed = 0;
+// A ledger (util/ledger.h); for_each feeds the crash bench's child JSON.
+struct RecoveryStats : origin::util::Ledger<RecoveryStats> {
+  std::uint64_t stale_temps_swept = 0;      // torn `.tmp` files deleted
+  std::uint64_t stale_shards_removed = 0;   // unrecorded/foreign shard files
+  std::uint64_t manifest_records_replayed = 0;
   std::uint64_t manifest_tail_bytes_dropped = 0;  // torn journal tail
-  std::size_t manifest_resets = 0;   // journal rejected (config/corruption)
-  std::size_t shards_reused = 0;     // journaled shards skipped, not rebuilt
-  std::size_t shards_regenerated = 0;  // journaled but rebuilt (bad file)
-  std::size_t shards_quarantined = 0;  // corrupt files moved aside
+  std::uint64_t manifest_resets = 0;  // journal rejected (config/corruption)
+  std::uint64_t shards_reused = 0;    // journaled shards skipped, not rebuilt
+  std::uint64_t shards_regenerated = 0;  // journaled but rebuilt (bad file)
+  std::uint64_t shards_quarantined = 0;  // corrupt files moved aside
+
+  static constexpr origin::util::Counter<RecoveryStats> kCounters[] = {
+      {"stale_temps_swept", &RecoveryStats::stale_temps_swept},
+      {"stale_shards_removed", &RecoveryStats::stale_shards_removed},
+      {"manifest_records_replayed", &RecoveryStats::manifest_records_replayed},
+      {"manifest_tail_bytes_dropped",
+       &RecoveryStats::manifest_tail_bytes_dropped},
+      {"manifest_resets", &RecoveryStats::manifest_resets},
+      {"shards_reused", &RecoveryStats::shards_reused},
+      {"shards_regenerated", &RecoveryStats::shards_regenerated},
+      {"shards_quarantined", &RecoveryStats::shards_quarantined},
+  };
 };
+static_assert(origin::util::covers<RecoveryStats>());
 
 // Aggregates of one full generate → analyze → reconstruct sweep. The two
 // digests chain FNV-1a over the serialized HAR of every measured

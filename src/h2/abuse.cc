@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <charconv>
+#include <iterator>
 
 #include "h2/frame.h"
 #include "util/fnv.h"
@@ -12,13 +13,31 @@ using origin::util::Bytes;
 using origin::util::make_error;
 using origin::util::Result;
 
+namespace {
+
+// One row per attacker kind, in canonical order: the name abuse_kind_name,
+// parse and serialize use, and the count total and expand read.
+struct MixField {
+  const char* name;
+  AbuseKind kind;
+  std::size_t AbuseMix::*member;
+};
+
+constexpr MixField kMixFields[] = {
+    {"rapid_reset", AbuseKind::kRapidReset, &AbuseMix::rapid_reset},
+    {"header_bomb", AbuseKind::kHeaderBomb, &AbuseMix::header_bomb},
+    {"ping_flood", AbuseKind::kPingFlood, &AbuseMix::ping_flood},
+    {"settings_flood", AbuseKind::kSettingsFlood, &AbuseMix::settings_flood},
+    {"slowloris", AbuseKind::kSlowloris, &AbuseMix::slowloris},
+};
+static_assert(sizeof(AbuseMix) == std::size(kMixFields) * sizeof(std::size_t),
+              "kMixFields must list every AbuseMix count");
+
+}  // namespace
+
 const char* abuse_kind_name(AbuseKind kind) {
-  switch (kind) {
-    case AbuseKind::kRapidReset: return "rapid_reset";
-    case AbuseKind::kHeaderBomb: return "header_bomb";
-    case AbuseKind::kPingFlood: return "ping_flood";
-    case AbuseKind::kSettingsFlood: return "settings_flood";
-    case AbuseKind::kSlowloris: return "slowloris";
+  for (const auto& field : kMixFields) {
+    if (field.kind == kind) return field.name;
   }
   return "unknown";
 }
@@ -53,57 +72,40 @@ Result<AbuseMix> AbuseMix::parse(std::string_view text) {
       return make_error("abuse mix: bad count in \"" + std::string(entry) +
                         "\"");
     }
-    if (key == "rapid_reset") {
-      mix.rapid_reset = count;
-    } else if (key == "header_bomb") {
-      mix.header_bomb = count;
-    } else if (key == "ping_flood") {
-      mix.ping_flood = count;
-    } else if (key == "settings_flood") {
-      mix.settings_flood = count;
-    } else if (key == "slowloris") {
-      mix.slowloris = count;
-    } else {
+    const auto* field = std::find_if(
+        std::begin(kMixFields), std::end(kMixFields),
+        [key](const MixField& f) { return key == f.name; });
+    if (field == std::end(kMixFields)) {
       return make_error("abuse mix: unknown kind \"" + std::string(key) +
                         "\"");
     }
+    mix.*field->member = count;
   }
   return mix;
 }
 
 std::string AbuseMix::serialize() const {
   std::string out;
-  auto field = [&out](const char* name, std::size_t value) {
+  for (const auto& field : kMixFields) {
     if (!out.empty()) out += ',';
-    out += name;
+    out += field.name;
     out += '=';
-    out += std::to_string(value);
-  };
-  field("rapid_reset", rapid_reset);
-  field("header_bomb", header_bomb);
-  field("ping_flood", ping_flood);
-  field("settings_flood", settings_flood);
-  field("slowloris", slowloris);
+    out += std::to_string(this->*field.member);
+  }
   return out;
+}
+
+std::size_t AbuseMix::total() const {
+  std::size_t sum = 0;
+  for (const auto& field : kMixFields) sum += this->*field.member;
+  return sum;
 }
 
 std::vector<AbuseKind> AbuseMix::expand() const {
   std::vector<AbuseKind> kinds;
   kinds.reserve(total());
-  for (std::size_t i = 0; i < rapid_reset; ++i) {
-    kinds.push_back(AbuseKind::kRapidReset);
-  }
-  for (std::size_t i = 0; i < header_bomb; ++i) {
-    kinds.push_back(AbuseKind::kHeaderBomb);
-  }
-  for (std::size_t i = 0; i < ping_flood; ++i) {
-    kinds.push_back(AbuseKind::kPingFlood);
-  }
-  for (std::size_t i = 0; i < settings_flood; ++i) {
-    kinds.push_back(AbuseKind::kSettingsFlood);
-  }
-  for (std::size_t i = 0; i < slowloris; ++i) {
-    kinds.push_back(AbuseKind::kSlowloris);
+  for (const auto& field : kMixFields) {
+    kinds.insert(kinds.end(), this->*field.member, field.kind);
   }
   return kinds;
 }

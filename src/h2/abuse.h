@@ -65,9 +65,7 @@ struct AbuseMix {
   // Canonical key=value form; parse(serialize()) round-trips.
   std::string serialize() const;
 
-  std::size_t total() const {
-    return rapid_reset + header_bomb + ping_flood + settings_flood + slowloris;
-  }
+  std::size_t total() const;
 
   // The mix expanded into one AbuseKind per client, in canonical order
   // (rapid_reset first, slowloris last) so client tags are stable.

@@ -264,31 +264,9 @@ Table RobustnessReport::table() const {
   Table table({"metric", "value"});
   table.add_row({"loads", format_count(loads_)});
   table.add_row({"completion rate", format_pct(completion_rate())});
-  table.add_row({"retries", format_count(totals_.retries)});
-  table.add_row({"backoff ms total",
-                 format_double(static_cast<double>(totals_.backoff_micros) /
-                                   1000.0,
-                               1)});
-  table.add_row({"connect timeouts", format_count(totals_.connect_timeouts)});
-  table.add_row({"connect failures", format_count(totals_.connect_failures)});
-  table.add_row({"request timeouts", format_count(totals_.request_timeouts)});
-  table.add_row({"dns failures", format_count(totals_.dns_failures)});
-  table.add_row({"tls failures", format_count(totals_.tls_failures)});
-  table.add_row(
-      {"h2 protocol errors", format_count(totals_.h2_protocol_errors)});
-  table.add_row(
-      {"connections torn down", format_count(totals_.connections_torn_down)});
-  table.add_row(
-      {"avoid-list entries", format_count(totals_.avoid_list_entries)});
-  table.add_row(
-      {"avoided coalescings", format_count(totals_.avoided_coalescings)});
-  table.add_row(
-      {"redispatched streams", format_count(totals_.redispatched_streams)});
-  table.add_row({"goaways received", format_count(totals_.goaways_received)});
-  table.add_row({"retry budget exhausted",
-                 format_count(totals_.retry_budget_exhausted)});
-  table.add_row(
-      {"deadline expirations", format_count(totals_.deadline_expirations)});
+  totals_.for_each([&table](std::string_view name, std::uint64_t value) {
+    table.add_row({std::string(name), format_count(value)});
+  });
   for (const auto& [reason, count] : totals_.teardown_reasons) {
     table.add_row({"teardown: " + reason, format_count(count)});
   }

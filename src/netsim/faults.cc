@@ -239,61 +239,4 @@ bool FaultInjector::consume_budget() {
   return true;
 }
 
-void RobustnessStats::merge(const RobustnessStats& other) {
-  connect_timeouts += other.connect_timeouts;
-  connect_failures += other.connect_failures;
-  request_timeouts += other.request_timeouts;
-  dns_failures += other.dns_failures;
-  tls_failures += other.tls_failures;
-  h2_protocol_errors += other.h2_protocol_errors;
-  retries += other.retries;
-  backoff_micros += other.backoff_micros;
-  retry_budget_exhausted += other.retry_budget_exhausted;
-  avoid_list_entries += other.avoid_list_entries;
-  avoided_coalescings += other.avoided_coalescings;
-  redispatched_streams += other.redispatched_streams;
-  goaways_received += other.goaways_received;
-  goaway_redispatches += other.goaway_redispatches;
-  connections_torn_down += other.connections_torn_down;
-  deadline_expirations += other.deadline_expirations;
-  for (const auto& [reason, count] : other.teardown_reasons) {
-    teardown_reasons[reason] += count;
-  }
-}
-
-std::string RobustnessStats::serialize() const {
-  std::string out;
-  auto field = [&out](const char* name, std::uint64_t value) {
-    out += name;
-    out += '=';
-    out += std::to_string(value);
-    out += '\n';
-  };
-  field("connect_timeouts", connect_timeouts);
-  field("connect_failures", connect_failures);
-  field("request_timeouts", request_timeouts);
-  field("dns_failures", dns_failures);
-  field("tls_failures", tls_failures);
-  field("h2_protocol_errors", h2_protocol_errors);
-  field("retries", retries);
-  field("backoff_micros", backoff_micros);
-  field("retry_budget_exhausted", retry_budget_exhausted);
-  field("avoid_list_entries", avoid_list_entries);
-  field("avoided_coalescings", avoided_coalescings);
-  field("redispatched_streams", redispatched_streams);
-  field("goaways_received", goaways_received);
-  field("goaway_redispatches", goaway_redispatches);
-  field("connections_torn_down", connections_torn_down);
-  field("deadline_expirations", deadline_expirations);
-  // std::map iterates sorted: the reason block is canonical byte-for-byte.
-  for (const auto& [reason, count] : teardown_reasons) {
-    out += "teardown_reason[";
-    out += reason;
-    out += "]=";
-    out += std::to_string(count);
-    out += '\n';
-  }
-  return out;
-}
-
 }  // namespace origin::netsim

@@ -12,10 +12,10 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <string>
 #include <string_view>
 
+#include "util/ledger.h"
 #include "util/result.h"
 #include "util/sim_time.h"
 
@@ -113,9 +113,10 @@ class FaultInjector {
 };
 
 // Counters for every degradation event the client survives (or doesn't).
-// Surfaced through WireLoadResult and measure/reports; serialize() is the
-// canonical byte form the 1-vs-8-thread determinism check compares.
-struct RobustnessStats {
+// Surfaced through WireLoadResult and measure/reports. A ledger
+// (util/ledger.h): merge, serialize and for_each walk kCounters, and
+// serialize() is the byte form the 1-vs-8-thread determinism check compares.
+struct RobustnessStats : origin::util::Ledger<RobustnessStats> {
   std::uint64_t connect_timeouts = 0;
   std::uint64_t connect_failures = 0;
   std::uint64_t request_timeouts = 0;
@@ -134,10 +135,29 @@ struct RobustnessStats {
   std::uint64_t goaway_redispatches = 0;
   std::uint64_t connections_torn_down = 0;
   std::uint64_t deadline_expirations = 0;
-  std::map<std::string, std::uint64_t> teardown_reasons;
+  origin::util::ReasonCounts teardown_reasons;
 
-  void merge(const RobustnessStats& other);
-  std::string serialize() const;
+  static constexpr origin::util::Counter<RobustnessStats> kCounters[] = {
+      {"connect_timeouts", &RobustnessStats::connect_timeouts},
+      {"connect_failures", &RobustnessStats::connect_failures},
+      {"request_timeouts", &RobustnessStats::request_timeouts},
+      {"dns_failures", &RobustnessStats::dns_failures},
+      {"tls_failures", &RobustnessStats::tls_failures},
+      {"h2_protocol_errors", &RobustnessStats::h2_protocol_errors},
+      {"retries", &RobustnessStats::retries},
+      {"backoff_micros", &RobustnessStats::backoff_micros},
+      {"retry_budget_exhausted", &RobustnessStats::retry_budget_exhausted},
+      {"avoid_list_entries", &RobustnessStats::avoid_list_entries},
+      {"avoided_coalescings", &RobustnessStats::avoided_coalescings},
+      {"redispatched_streams", &RobustnessStats::redispatched_streams},
+      {"goaways_received", &RobustnessStats::goaways_received},
+      {"goaway_redispatches", &RobustnessStats::goaway_redispatches},
+      {"connections_torn_down", &RobustnessStats::connections_torn_down},
+      {"deadline_expirations", &RobustnessStats::deadline_expirations},
+  };
+  static constexpr auto kReasons = &RobustnessStats::teardown_reasons;
+  static constexpr std::string_view kReasonLabel = "teardown_reason";
 };
+static_assert(origin::util::covers<RobustnessStats>());
 
 }  // namespace origin::netsim

@@ -229,7 +229,7 @@ void Network::teardown(std::uint64_t id, const std::string& reason) {
   conn->open = false;
   // The verbatim close reason is part of the network's record — callers
   // like WireLoadResult.errors no longer lose the middlebox name.
-  ++stats_.teardown_reasons[reason];
+  stats_.teardown_reasons.record(reason);
   // Deliver close notifications asynchronously, like RST segments. Each
   // side's on_close fires at most once (open flips false above, and a
   // second teardown on the same id is a no-op), then the connection state

@@ -18,6 +18,7 @@
 #include "dns/record.h"
 #include "netsim/simulator.h"
 #include "util/bytes.h"
+#include "util/ledger.h"
 #include "util/result.h"
 
 namespace origin::netsim {
@@ -97,7 +98,7 @@ struct NetworkStats {
   std::uint64_t injected_faults = 0;
   // Every teardown's close reason, verbatim — the middlebox name is no
   // longer lost between Network::teardown and WireLoadResult.errors.
-  std::map<std::string, std::uint64_t> teardown_reasons;
+  origin::util::ReasonCounts teardown_reasons;
 };
 
 class Network {

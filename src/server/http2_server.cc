@@ -51,61 +51,6 @@ OverloadConfig OverloadConfig::from_env(OverloadConfig defaults) {
   return config;
 }
 
-void Http2Server::Stats::merge(const Stats& other) {
-  connections += other.connections;
-  requests += other.requests;
-  responses_200 += other.responses_200;
-  responses_404 += other.responses_404;
-  responses_421 += other.responses_421;
-  origin_frames_sent += other.origin_frames_sent;
-  origin_frames_suppressed += other.origin_frames_suppressed;
-  h2_protocol_errors += other.h2_protocol_errors;
-  submit_failures += other.submit_failures;
-  sessions_shed += other.sessions_shed;
-  sessions_reaped_stalled += other.sessions_reaped_stalled;
-  admission_rejections += other.admission_rejections;
-  streams_refused += other.streams_refused;
-  drains_started += other.drains_started;
-  drained_clean += other.drained_clean;
-  for (const auto& [reason, count] : other.close_reasons) {
-    close_reasons[reason] += count;
-  }
-}
-
-std::string Http2Server::Stats::serialize() const {
-  std::string out;
-  auto field = [&out](const char* name, std::uint64_t value) {
-    out += name;
-    out += '=';
-    out += std::to_string(value);
-    out += '\n';
-  };
-  field("connections", connections);
-  field("requests", requests);
-  field("responses_200", responses_200);
-  field("responses_404", responses_404);
-  field("responses_421", responses_421);
-  field("origin_frames_sent", origin_frames_sent);
-  field("origin_frames_suppressed", origin_frames_suppressed);
-  field("h2_protocol_errors", h2_protocol_errors);
-  field("submit_failures", submit_failures);
-  field("sessions_shed", sessions_shed);
-  field("sessions_reaped_stalled", sessions_reaped_stalled);
-  field("admission_rejections", admission_rejections);
-  field("streams_refused", streams_refused);
-  field("drains_started", drains_started);
-  field("drained_clean", drained_clean);
-  // std::map iterates keys sorted, so this block is canonical.
-  for (const auto& [reason, count] : close_reasons) {
-    out += "close_reason[";
-    out += reason;
-    out += "]=";
-    out += std::to_string(count);
-    out += '\n';
-  }
-  return out;
-}
-
 Http2Server::Http2Server(ServerConfig config) : config_(std::move(config)) {}
 
 void Http2Server::add_vhost(std::string hostname, Handler handler) {
@@ -134,7 +79,7 @@ ORIGIN_HOT void Http2Server::flush(Session& session) {
 
 void Http2Server::close_endpoint(netsim::TcpEndpoint& endpoint,
                                  const std::string& reason) {
-  ++stats_.close_reasons[reason];
+  stats_.close_reasons.record(reason);
   if (endpoint.open()) {
     endpoint.close(reason);  // lint:allow(server-close-recorded): this is the audited close path; the reason was recorded just above
   }

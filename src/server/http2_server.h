@@ -30,6 +30,7 @@
 #include "h2/connection.h"
 #include "netsim/network.h"
 #include "tls/sni.h"
+#include "util/ledger.h"
 #include "util/sim_time.h"
 #include "web/resource.h"
 
@@ -170,7 +171,8 @@ class Http2Server {
   void begin_drain(const std::string& reason);
   bool draining() const { return draining_; }
 
-  struct Stats {
+  // A ledger (util/ledger.h): merge, serialize and for_each walk kCounters.
+  struct Stats : origin::util::Ledger<Stats> {
     std::uint64_t connections = 0;
     std::uint64_t requests = 0;
     std::uint64_t responses_200 = 0;
@@ -197,12 +199,27 @@ class Http2Server {
     std::uint64_t drained_clean = 0;
     // Every server-initiated close, keyed by the verbatim reason; the
     // deterministic ledger the overload tests and benches byte-compare.
-    std::map<std::string, std::uint64_t> close_reasons;
+    origin::util::ReasonCounts close_reasons;
 
-    void merge(const Stats& other);
-    // Canonical byte form (sorted close_reasons last); the 1-vs-8-thread
-    // determinism checks compare this string.
-    std::string serialize() const;
+    static constexpr origin::util::Counter<Stats> kCounters[] = {
+        {"connections", &Stats::connections},
+        {"requests", &Stats::requests},
+        {"responses_200", &Stats::responses_200},
+        {"responses_404", &Stats::responses_404},
+        {"responses_421", &Stats::responses_421},
+        {"origin_frames_sent", &Stats::origin_frames_sent},
+        {"origin_frames_suppressed", &Stats::origin_frames_suppressed},
+        {"h2_protocol_errors", &Stats::h2_protocol_errors},
+        {"submit_failures", &Stats::submit_failures},
+        {"sessions_shed", &Stats::sessions_shed},
+        {"sessions_reaped_stalled", &Stats::sessions_reaped_stalled},
+        {"admission_rejections", &Stats::admission_rejections},
+        {"streams_refused", &Stats::streams_refused},
+        {"drains_started", &Stats::drains_started},
+        {"drained_clean", &Stats::drained_clean},
+    };
+    static constexpr auto kReasons = &Stats::close_reasons;
+    static constexpr std::string_view kReasonLabel = "close_reason";
   };
   const Stats& stats() const { return stats_; }
   std::size_t live_sessions() const { return sessions_.size(); }
@@ -261,6 +278,8 @@ class Http2Server {
   bool sweep_scheduled_ = false;
   bool draining_ = false;
 };
+
+static_assert(origin::util::covers<Http2Server::Stats>());
 
 // Convenience: header list for a GET request (client side).
 hpack::HeaderList make_get_request(const std::string& authority,

@@ -99,11 +99,6 @@ struct AbuseWorld {
     });
     server.listen(net, addr);
   }
-
-  std::uint64_t close_reason_count(const std::string& reason) const {
-    auto it = server.stats().close_reasons.find(reason);
-    return it == server.stats().close_reasons.end() ? 0 : it->second;
-  }
 };
 
 server::OverloadConfig tight_budgets() {
@@ -125,7 +120,9 @@ TEST(Overload, RapidResetFloodShedWithDistinctReason) {
   EXPECT_TRUE(attacker.shed());
   EXPECT_EQ(attacker.close_reason(), "overload: rapid-reset flood");
   EXPECT_EQ(world.server.stats().sessions_shed, 1u);
-  EXPECT_EQ(world.close_reason_count("overload: rapid-reset flood"), 1u);
+  EXPECT_EQ(
+      world.server.stats().close_reasons.count("overload: rapid-reset flood"),
+      1u);
   EXPECT_EQ(world.server.live_sessions(), 0u);
 }
 
@@ -136,7 +133,8 @@ TEST(Overload, PingFloodShedWithDistinctReason) {
   world.sim.run_until_idle();
   EXPECT_TRUE(attacker.shed());
   EXPECT_EQ(attacker.close_reason(), "overload: ping flood");
-  EXPECT_EQ(world.close_reason_count("overload: ping flood"), 1u);
+  EXPECT_EQ(world.server.stats().close_reasons.count("overload: ping flood"),
+            1u);
 }
 
 TEST(Overload, SettingsFloodShedWithDistinctReason) {
@@ -146,7 +144,9 @@ TEST(Overload, SettingsFloodShedWithDistinctReason) {
   world.sim.run_until_idle();
   EXPECT_TRUE(attacker.shed());
   EXPECT_EQ(attacker.close_reason(), "overload: settings flood");
-  EXPECT_EQ(world.close_reason_count("overload: settings flood"), 1u);
+  EXPECT_EQ(
+      world.server.stats().close_reasons.count("overload: settings flood"),
+      1u);
 }
 
 TEST(Overload, HeaderBombShedByHeaderBudget) {
@@ -156,7 +156,8 @@ TEST(Overload, HeaderBombShedByHeaderBudget) {
   world.sim.run_until_idle();
   EXPECT_TRUE(attacker.shed());
   EXPECT_EQ(attacker.close_reason(), "overload: header budget");
-  EXPECT_EQ(world.close_reason_count("overload: header budget"), 1u);
+  EXPECT_EQ(world.server.stats().close_reasons.count("overload: header budget"),
+            1u);
 }
 
 TEST(Overload, HeaderBombRejectedByHeaderListSizeSetting) {
@@ -219,7 +220,8 @@ TEST(Overload, FrameRateBudgetShedsFastSender) {
   world.sim.run_until_idle();
   EXPECT_TRUE(attacker.shed());
   EXPECT_EQ(attacker.close_reason(), "overload: frame rate");
-  EXPECT_EQ(world.close_reason_count("overload: frame rate"), 1u);
+  EXPECT_EQ(world.server.stats().close_reasons.count("overload: frame rate"),
+            1u);
 }
 
 // --- Well-behaved traffic under armed defenses -----------------------------
@@ -297,11 +299,6 @@ struct OverloadWireWorld {
       *result = std::move(r);
       *done = true;
     });
-  }
-
-  std::uint64_t close_reason_count(const std::string& reason) const {
-    auto it = cdn_server.stats().close_reasons.find(reason);
-    return it == cdn_server.stats().close_reasons.end() ? 0 : it->second;
   }
 
  private:
@@ -473,7 +470,8 @@ TEST(Admission, AtCapacityShedsExcessConnectionsOnTheWire) {
   // The shed session released its slot back to the controller.
   EXPECT_EQ(admission.active_sessions(), 0u);
   // The abusive close entered the tag's greylist window.
-  EXPECT_EQ(world.close_reason_count("admission: at capacity"), 1u);
+  EXPECT_EQ(world.server.stats().close_reasons.count("admission: at capacity"),
+            1u);
 }
 
 // --- GOAWAY graceful drain -------------------------------------------------
@@ -518,9 +516,12 @@ TEST(OverloadDrain, GracefulDrainCompletesPageViaRedispatch) {
   EXPECT_TRUE(result.har.success);
   EXPECT_EQ(world.cdn_server.stats().drains_started, 1u);
   EXPECT_GE(result.robustness.goaways_received, 1u);
-  EXPECT_GE(world.close_reason_count("drain: complete"), 1u);
+  EXPECT_GE(world.cdn_server.stats().close_reasons.count("drain: complete"),
+            1u);
   // The drained connection is gone; only post-drain connections survive.
-  EXPECT_EQ(world.close_reason_count("drain: grace expired"), 0u);
+  EXPECT_EQ(
+      world.cdn_server.stats().close_reasons.count("drain: grace expired"),
+      0u);
 }
 
 TEST(OverloadDrain, LateStreamsRefusedAndLaggardsClosedAtGraceDeadline) {
@@ -570,7 +571,8 @@ TEST(OverloadDrain, LateStreamsRefusedAndLaggardsClosedAtGraceDeadline) {
   world.sim.run_until_idle();
 
   EXPECT_EQ(world.server.stats().streams_refused, 1u);
-  EXPECT_EQ(world.close_reason_count("drain: grace expired"), 1u);
+  EXPECT_EQ(world.server.stats().close_reasons.count("drain: grace expired"),
+            1u);
   EXPECT_EQ(laggard_close, "drain: grace expired");
   EXPECT_EQ(world.server.live_sessions(), 0u);
 }

@@ -173,7 +173,7 @@ TEST(WireClientTest, StrictMiddleboxKillsOriginConnections) {
                               std::make_shared<h2::StrictFrameMiddlebox>());
   auto result = world.run("origin-frame");
   EXPECT_TRUE(result.complete);
-  EXPECT_GT(result.connections_torn_down, 0u);
+  EXPECT_GT(result.robustness.connections_torn_down, 0u);
   EXPECT_FALSE(result.har.success);
 }
 
@@ -185,7 +185,7 @@ TEST(WireClientTest, MiddleboxHarmlessWithoutOriginFrames) {
   auto result = world.run("chromium-ip");
   EXPECT_TRUE(result.complete);
   EXPECT_TRUE(result.errors.empty()) << result.errors.front();
-  EXPECT_EQ(result.connections_torn_down, 0u);
+  EXPECT_EQ(result.robustness.connections_torn_down, 0u);
 }
 
 TEST(WireClientTest, HarTimingsAreCausallyOrdered) {
