@@ -4,7 +4,6 @@
 #include <vector>
 
 #include "util/fnv.h"
-#include "util/thread_pool.h"
 
 namespace origin::dataset {
 
@@ -26,31 +25,46 @@ browser::LoaderOptions loader_options_for_site(
   return site_options;
 }
 
-std::size_t collect(Corpus& corpus, const CollectOptions& options,
-                    const PageSink& sink) {
-  // The work list is decided up front from corpus state alone, so it is
-  // identical at any thread count.
+std::vector<std::size_t> eligible_site_list(const Corpus& corpus,
+                                            std::size_t max_sites) {
   std::vector<std::size_t> eligible;
   for (std::size_t i = 0; i < corpus.sites().size(); ++i) {
     if (!corpus.sites()[i].crawl_succeeded) continue;
-    if (options.max_sites != 0 && eligible.size() >= options.max_sites) break;
+    if (max_sites != 0 && eligible.size() >= max_sites) break;
     eligible.push_back(i);
   }
+  return eligible;
+}
+
+std::vector<web::PageLoad> load_sites(Corpus& corpus,
+                                      const browser::LoaderOptions& base,
+                                      std::span<const std::size_t> sites,
+                                      origin::util::ThreadPool& pool) {
+  // Per-site seeds and connection-id blocks come from the site index
+  // alone, so worker scheduling cannot leak into the pages.
+  std::vector<web::PageLoad> loads(sites.size());
+  pool.parallel_for_index(sites.size(), [&](std::size_t k) {
+    browser::PageLoader loader(corpus.env(),
+                               loader_options_for_site(base, sites[k]));
+    loads[k] = loader.load(corpus.page_for_site(sites[k]));
+  });
+  return loads;
+}
+
+std::size_t collect(Corpus& corpus, const CollectOptions& options,
+                    const PageSink& sink) {
+  const std::vector<std::size_t> eligible =
+      eligible_site_list(corpus, options.max_sites);
 
   origin::util::ThreadPool pool(options.threads);
   // Windowed batches keep memory bounded at corpus scale: only one window of
   // PageLoads is ever held, and the sink observes sites in index order.
   const std::size_t window = std::max<std::size_t>(pool.thread_count() * 8, 1);
-  std::vector<web::PageLoad> loads;
   for (std::size_t begin = 0; begin < eligible.size(); begin += window) {
     const std::size_t count = std::min(window, eligible.size() - begin);
-    loads.assign(count, web::PageLoad{});
-    pool.parallel_for_index(count, [&](std::size_t k) {
-      const std::size_t site_index = eligible[begin + k];
-      browser::PageLoader loader(
-          corpus.env(), loader_options_for_site(options.loader, site_index));
-      loads[k] = loader.load(corpus.page_for_site(site_index));
-    });
+    const std::vector<web::PageLoad> loads =
+        load_sites(corpus, options.loader,
+                   std::span(eligible).subspan(begin, count), pool);
     for (std::size_t k = 0; k < count; ++k) {
       sink(corpus.sites()[eligible[begin + k]], loads[k]);
     }

@@ -6,9 +6,12 @@
 #pragma once
 
 #include <functional>
+#include <span>
+#include <vector>
 
 #include "browser/page_loader.h"
 #include "dataset/generator.h"
+#include "util/thread_pool.h"
 #include "web/har.h"
 
 namespace origin::dataset {
@@ -39,5 +42,19 @@ std::size_t collect(Corpus& corpus, const CollectOptions& options,
 // boundary.
 browser::LoaderOptions loader_options_for_site(
     const browser::LoaderOptions& base, std::size_t site_index);
+
+// The work list of collect() and the streaming pipeline: indices of the
+// crawl-succeeded sites in index order, at most `max_sites` of them (0 =
+// all). Decided from corpus state alone, so it is identical at any thread
+// count.
+std::vector<std::size_t> eligible_site_list(const Corpus& corpus,
+                                            std::size_t max_sites);
+
+// Loads `sites` in parallel on `pool`, each with its own per-site loader
+// (loader_options_for_site), and returns the pages in `sites` order.
+std::vector<web::PageLoad> load_sites(Corpus& corpus,
+                                      const browser::LoaderOptions& base,
+                                      std::span<const std::size_t> sites,
+                                      util::ThreadPool& pool);
 
 }  // namespace origin::dataset

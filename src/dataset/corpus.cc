@@ -93,152 +93,6 @@ struct Aggregator {
 
 }  // namespace
 
-// --- TimelineColumns ------------------------------------------------------
-
-TimelineColumns::TimelineColumns()
-    : entry_resource_index_(arena_),
-      entry_host_sym_(arena_),
-      entry_addr_family_(arena_),
-      entry_addr_value_(arena_),
-      entry_answer_count_(arena_),
-      entry_asn_(arena_),
-      entry_version_(arena_),
-      entry_mode_(arena_),
-      entry_content_type_(arena_),
-      entry_flags_(arena_),
-      entry_start_us_(arena_),
-      entry_blocked_us_(arena_),
-      entry_dns_us_(arena_),
-      entry_connect_us_(arena_),
-      entry_ssl_us_(arena_),
-      entry_send_us_(arena_),
-      entry_wait_us_(arena_),
-      entry_receive_us_(arena_),
-      entry_connection_id_(arena_),
-      entry_cert_serial_(arena_),
-      entry_issuer_sym_(arena_),
-      entry_san_count_(arena_),
-      answer_family_(arena_),
-      answer_value_(arena_),
-      page_rank_(arena_),
-      page_base_sym_(arena_),
-      page_success_(arena_),
-      page_entry_count_(arena_),
-      page_extra_dns_(arena_),
-      page_extra_tls_(arena_) {}
-
-void TimelineColumns::set_identity(std::uint64_t shard_index,
-                                   std::uint64_t corpus_seed,
-                                   std::uint64_t first_site) {
-  shard_index_ = shard_index;
-  corpus_seed_ = corpus_seed;
-  first_site_ = first_site;
-}
-
-ORIGIN_HOT void TimelineColumns::append_page_row(const web::PageLoad& load,
-                                                 std::uint32_t base_sym) {
-  page_rank_.put(load.tranco_rank);
-  page_base_sym_.put(base_sym);
-  page_success_.put(load.success ? 1 : 0);
-  page_entry_count_.put(static_cast<std::uint32_t>(load.entries.size()));
-  page_extra_dns_.put(static_cast<std::uint64_t>(load.extra_dns_queries));
-  page_extra_tls_.put(static_cast<std::uint64_t>(load.extra_tls_connections));
-}
-
-ORIGIN_HOT void TimelineColumns::append_entry_row(const web::HarEntry& entry,
-                                                  std::uint32_t host_sym,
-                                                  std::uint32_t issuer_sym) {
-  entry_resource_index_.put(static_cast<std::int32_t>(entry.resource_index));
-  entry_host_sym_.put(host_sym);
-  entry_addr_family_.put(
-      static_cast<std::uint8_t>(entry.server_address.family));
-  entry_addr_value_.put(entry.server_address.value);
-  entry_answer_count_.put(
-      static_cast<std::uint16_t>(entry.dns_answer_set.size()));
-  entry_asn_.put(entry.asn);
-  entry_version_.put(static_cast<std::uint8_t>(entry.version));
-  entry_mode_.put(static_cast<std::uint8_t>(entry.mode));
-  entry_content_type_.put(static_cast<std::uint8_t>(entry.content_type));
-  std::uint8_t flags = 0;
-  if (entry.secure) flags |= kSnapshotFlagSecure;
-  if (entry.new_dns_query) flags |= kSnapshotFlagNewDns;
-  if (entry.new_tls_connection) flags |= kSnapshotFlagNewTls;
-  if (entry.speculative_duplicate) flags |= kSnapshotFlagSpeculative;
-  if (entry.status_421) flags |= kSnapshotFlagStatus421;
-  entry_flags_.put(flags);
-  entry_start_us_.put(entry.start.micros());
-  entry_blocked_us_.put(entry.timings.blocked.count_micros());
-  entry_dns_us_.put(entry.timings.dns.count_micros());
-  entry_connect_us_.put(entry.timings.connect.count_micros());
-  entry_ssl_us_.put(entry.timings.ssl.count_micros());
-  entry_send_us_.put(entry.timings.send.count_micros());
-  entry_wait_us_.put(entry.timings.wait.count_micros());
-  entry_receive_us_.put(entry.timings.receive.count_micros());
-  entry_connection_id_.put(entry.connection_id);
-  entry_cert_serial_.put(entry.cert_serial);
-  entry_issuer_sym_.put(issuer_sym);
-  entry_san_count_.put(entry.cert_san_count);
-  for (const dns::IpAddress& address : entry.dns_answer_set) {
-    answer_family_.put(static_cast<std::uint8_t>(address.family));
-    answer_value_.put(address.value);
-  }
-}
-
-void TimelineColumns::append_page(const web::PageLoad& load) {
-  append_page_row(load, symbols_.intern(load.base_hostname));
-  for (const web::HarEntry& entry : load.entries) {
-    append_entry_row(entry, symbols_.intern(entry.hostname),
-                     symbols_.intern(entry.cert_issuer));
-  }
-}
-
-void TimelineColumns::clear() {
-  entry_resource_index_.clear();
-  entry_host_sym_.clear();
-  entry_addr_family_.clear();
-  entry_addr_value_.clear();
-  entry_answer_count_.clear();
-  entry_asn_.clear();
-  entry_version_.clear();
-  entry_mode_.clear();
-  entry_content_type_.clear();
-  entry_flags_.clear();
-  entry_start_us_.clear();
-  entry_blocked_us_.clear();
-  entry_dns_us_.clear();
-  entry_connect_us_.clear();
-  entry_ssl_us_.clear();
-  entry_send_us_.clear();
-  entry_wait_us_.clear();
-  entry_receive_us_.clear();
-  entry_connection_id_.clear();
-  entry_cert_serial_.clear();
-  entry_issuer_sym_.clear();
-  entry_san_count_.clear();
-  answer_family_.clear();
-  answer_value_.clear();
-  page_rank_.clear();
-  page_base_sym_.clear();
-  page_success_.clear();
-  page_entry_count_.clear();
-  page_extra_dns_.clear();
-  page_extra_tls_.clear();
-  symbols_.clear();
-  arena_.reset();
-}
-
-ShardMeta TimelineColumns::meta() const {
-  ShardMeta meta;
-  meta.shard_index = shard_index_;
-  meta.corpus_seed = corpus_seed_;
-  meta.first_site = first_site_;
-  meta.pages = page_rank_.size();
-  meta.entries = entry_start_us_.size();
-  meta.answers = answer_value_.size();
-  meta.symbols = static_cast<std::uint32_t>(symbols_.size());
-  return meta;
-}
-
 // --- StreamingCorpus ------------------------------------------------------
 
 StreamingCorpus::StreamingCorpus(Corpus& corpus, StreamingOptions options)
@@ -247,18 +101,7 @@ StreamingCorpus::StreamingCorpus(Corpus& corpus, StreamingOptions options)
     const char* env = std::getenv("ORIGIN_RESUME");
     options_.resume = env != nullptr && env[0] == '1';
   }
-  build_eligible();
-}
-
-void StreamingCorpus::build_eligible() {
-  // Mirrors collect(): the work list is decided from corpus state alone.
-  for (std::size_t i = 0; i < corpus_.sites().size(); ++i) {
-    if (!corpus_.sites()[i].crawl_succeeded) continue;
-    if (options_.max_sites != 0 && eligible_.size() >= options_.max_sites) {
-      break;
-    }
-    eligible_.push_back(i);
-  }
+  eligible_ = eligible_site_list(corpus_, options_.max_sites);
 }
 
 std::size_t StreamingCorpus::resolved_per_shard() const {
@@ -384,15 +227,9 @@ util::Result<util::Bytes> StreamingCorpus::build_shard(ShardInfo& info,
                                                        util::ThreadPool& pool) {
   const std::size_t count = shard_site_count(info.first_site);
 
-  // Parallel load: per-site seeds and connection-id blocks come from the
-  // site index alone, so worker scheduling cannot leak into the pages.
-  std::vector<web::PageLoad> loads(count);
-  pool.parallel_for_index(count, [&](std::size_t k) {
-    const std::size_t site_index = eligible_[info.first_site + k];
-    browser::PageLoader loader(
-        corpus_.env(), loader_options_for_site(options_.loader, site_index));
-    loads[k] = loader.load(corpus_.page_for_site(site_index));
-  });
+  const std::vector<web::PageLoad> loads =
+      load_sites(corpus_, options_.loader,
+                 std::span(eligible_).subspan(info.first_site, count), pool);
   if (util::crash::crash_point("generate.load")) {
     return util::make_error("corpus: crash injected at generate.load");
   }

@@ -1,17 +1,12 @@
-// Columnar (SoA) page-timeline storage and the out-of-core streaming
-// corpus pipeline (DESIGN.md §14).
+// The out-of-core streaming corpus pipeline (DESIGN.md §14).
 //
 // The materialized pipeline holds every page as a vector<HarEntry> of
 // structs — hostnames, DNS answer sets, and issuer strings inline — which
-// caps corpora at what fits in RAM. TimelineColumns stores one *shard* of
-// pages as struct-of-arrays instead: hostnames and issuers become per-shard
-// SymbolIds, every timestamp/enum/flag lands in an arena-backed column
-// (util::ArenaColumn — O(1) append, no element moves, capacity recycled
-// across shards), and DNS answer sets flatten into a shared pool indexed by
-// per-entry counts. A shard serializes to the bounded span-based snapshot
-// format in dataset/snapshot.h and spills to disk, so a million-site corpus
-// streams generate → analyze → reconstruct with only one shard's timelines
-// resident at a time.
+// caps corpora at what fits in RAM. The streaming pipeline instead loads
+// one *shard* of pages at a time into columnar TimelineColumns, encodes it
+// to the bounded span-based snapshot format (dataset/snapshot.h) and
+// spills it to disk, so a million-site corpus streams generate → analyze →
+// reconstruct with only one shard's timelines resident at a time.
 //
 // Determinism contract (DESIGN.md §8): shard boundaries never change
 // results. Page loads derive their RNG seed and connection-id block from
@@ -34,112 +29,21 @@
 
 #include <cstdint>
 #include <string>
-#include <string_view>
 #include <vector>
 
 #include "browser/page_loader.h"
 #include "dataset/generator.h"
 #include "dataset/manifest.h"
-#include "util/arena.h"
+#include "dataset/snapshot.h"
 #include "util/bytes.h"
 #include "util/durable_file.h"
 #include "util/flat_map.h"
-#include "util/interner.h"
 #include "util/ledger.h"
 #include "util/result.h"
 #include "util/thread_pool.h"
 #include "web/har.h"
 
 namespace origin::dataset {
-
-// Shard identity and row totals, carried in the snapshot header.
-struct ShardMeta {
-  std::uint64_t shard_index = 0;
-  std::uint64_t corpus_seed = 0;
-  std::uint64_t first_site = 0;  // first eligible-site ordinal in the shard
-  std::uint64_t pages = 0;
-  std::uint64_t entries = 0;
-  std::uint64_t answers = 0;   // flattened DNS answer-set rows
-  std::uint32_t symbols = 0;
-
-  bool operator==(const ShardMeta&) const = default;
-};
-
-// One shard of page timelines in columnar form. Append-only between
-// clear() calls; not thread-safe (owned by the serial shard-append loop).
-class TimelineColumns {
- public:
-  TimelineColumns();
-
-  void set_identity(std::uint64_t shard_index, std::uint64_t corpus_seed,
-                    std::uint64_t first_site);
-  void append_page(const web::PageLoad& load);
-  void clear();  // drops rows + symbols, keeps arena capacity
-
-  ShardMeta meta() const;
-  std::size_t page_count() const { return page_rank_.size(); }
-  std::size_t entry_count() const { return entry_start_us_.size(); }
-  std::size_t symbol_count() const { return symbols_.size(); }
-  std::size_t arena_reserved_bytes() const { return arena_.reserved_bytes(); }
-
-  std::string_view symbol(std::uint32_t id) const { return symbols_.name(id); }
-
- private:
-  friend util::Bytes encode_snapshot(const TimelineColumns& columns);
-
-  // The ORIGIN_HOT numeric row appends; symbol interning stays in the
-  // (cold, allocating) append_page wrapper.
-  void append_entry_row(const web::HarEntry& entry, std::uint32_t host_sym,
-                        std::uint32_t issuer_sym);
-  void append_page_row(const web::PageLoad& load, std::uint32_t base_sym);
-
-  util::Arena arena_;
-
-  // --- entry columns (one row per HarEntry) -----------------------------
-  util::ArenaColumn<std::int32_t> entry_resource_index_;
-  util::ArenaColumn<std::uint32_t> entry_host_sym_;
-  util::ArenaColumn<std::uint8_t> entry_addr_family_;
-  util::ArenaColumn<std::uint64_t> entry_addr_value_;
-  util::ArenaColumn<std::uint16_t> entry_answer_count_;
-  util::ArenaColumn<std::uint32_t> entry_asn_;
-  util::ArenaColumn<std::uint8_t> entry_version_;
-  util::ArenaColumn<std::uint8_t> entry_mode_;
-  util::ArenaColumn<std::uint8_t> entry_content_type_;
-  util::ArenaColumn<std::uint8_t> entry_flags_;
-  util::ArenaColumn<std::int64_t> entry_start_us_;
-  util::ArenaColumn<std::int64_t> entry_blocked_us_;
-  util::ArenaColumn<std::int64_t> entry_dns_us_;
-  util::ArenaColumn<std::int64_t> entry_connect_us_;
-  util::ArenaColumn<std::int64_t> entry_ssl_us_;
-  util::ArenaColumn<std::int64_t> entry_send_us_;
-  util::ArenaColumn<std::int64_t> entry_wait_us_;
-  util::ArenaColumn<std::int64_t> entry_receive_us_;
-  util::ArenaColumn<std::uint64_t> entry_connection_id_;
-  util::ArenaColumn<std::uint64_t> entry_cert_serial_;
-  util::ArenaColumn<std::uint32_t> entry_issuer_sym_;
-  util::ArenaColumn<std::int64_t> entry_san_count_;
-
-  // --- flattened DNS answer pool ----------------------------------------
-  util::ArenaColumn<std::uint8_t> answer_family_;
-  util::ArenaColumn<std::uint64_t> answer_value_;
-
-  // --- page columns (one row per PageLoad) ------------------------------
-  util::ArenaColumn<std::uint64_t> page_rank_;
-  util::ArenaColumn<std::uint32_t> page_base_sym_;
-  util::ArenaColumn<std::uint8_t> page_success_;
-  util::ArenaColumn<std::uint32_t> page_entry_count_;
-  util::ArenaColumn<std::uint64_t> page_extra_dns_;
-  util::ArenaColumn<std::uint64_t> page_extra_tls_;
-
-  // Per-shard symbol table: id = first-appearance order.
-  util::Interner symbols_;
-
-  std::uint64_t shard_index_ = 0;
-  std::uint64_t corpus_seed_ = 0;
-  std::uint64_t first_site_ = 0;
-};
-
-// --- streaming pipeline ---------------------------------------------------
 
 // Serial per-shard hook: analyze() calls on_shard() once per shard, in
 // shard (site) order, right after the shard's pages are decoded. This is
@@ -276,7 +180,6 @@ class StreamingCorpus {
   std::uint64_t config_digest() const;
 
  private:
-  void build_eligible();
   std::size_t resolved_per_shard() const;
   std::size_t shard_site_count(std::size_t first_site) const;
   // Sweeps temps/stale shards, replays or resets the manifest journal, and
@@ -300,7 +203,7 @@ class StreamingCorpus {
   StreamingOptions options_;
   std::vector<std::size_t> eligible_;  // site indices, crawl-succeeded only
   std::vector<ShardInfo> shards_;
-  TimelineColumns columns_;  // reused across shards (arena recycling)
+  TimelineColumns columns_;  // reused across shards (capacity recycling)
   util::DurableLog manifest_log_;
   RecoveryStats recovery_;
   bool generated_ = false;

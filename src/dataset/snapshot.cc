@@ -13,127 +13,35 @@ namespace origin::dataset {
 
 namespace {
 
-// Column tags, in wire order. The reader rejects any other order, which is
-// what makes an accepted snapshot canonical.
-enum Tag : std::size_t {
-  kEntryResourceIndex = 0,
-  kEntryHostSym,
-  kEntryAddrFamily,
-  kEntryAddrValue,
-  kEntryAnswerCount,
-  kEntryAsn,
-  kEntryVersion,
-  kEntryMode,
-  kEntryContentType,
-  kEntryFlags,
-  kEntryStartUs,
-  kEntryBlockedUs,
-  kEntryDnsUs,
-  kEntryConnectUs,
-  kEntrySslUs,
-  kEntrySendUs,
-  kEntryWaitUs,
-  kEntryReceiveUs,
-  kEntryConnectionId,
-  kEntryCertSerial,
-  kEntryIssuerSym,
-  kEntrySanCount,
-  kAnswerFamily,
-  kAnswerValue,
-  kPageRank,
-  kPageBaseSym,
-  kPageSuccess,
-  kPageEntryCount,
-  kPageExtraDns,
-  kPageExtraTls,
-};
-
-enum class Rows : std::uint8_t { kEntry, kAnswer, kPage };
-
-struct ColumnSpec {
-  std::size_t elem_size;
-  Rows rows;
-};
-
-constexpr ColumnSpec kColumnSpecs[kSnapshotColumnCount] = {
-    {4, Rows::kEntry},   // resource_index  i32
-    {4, Rows::kEntry},   // host_sym        u32
-    {1, Rows::kEntry},   // addr_family     u8
-    {8, Rows::kEntry},   // addr_value      u64
-    {2, Rows::kEntry},   // answer_count    u16
-    {4, Rows::kEntry},   // asn             u32
-    {1, Rows::kEntry},   // version         u8
-    {1, Rows::kEntry},   // mode            u8
-    {1, Rows::kEntry},   // content_type    u8
-    {1, Rows::kEntry},   // flags           u8
-    {8, Rows::kEntry},   // start_us        i64
-    {8, Rows::kEntry},   // blocked_us      i64
-    {8, Rows::kEntry},   // dns_us          i64
-    {8, Rows::kEntry},   // connect_us      i64
-    {8, Rows::kEntry},   // ssl_us          i64
-    {8, Rows::kEntry},   // send_us         i64
-    {8, Rows::kEntry},   // wait_us         i64
-    {8, Rows::kEntry},   // receive_us      i64
-    {8, Rows::kEntry},   // connection_id   u64
-    {8, Rows::kEntry},   // cert_serial     u64
-    {4, Rows::kEntry},   // issuer_sym      u32
-    {8, Rows::kEntry},   // san_count       i64
-    {1, Rows::kAnswer},  // answer_family   u8
-    {8, Rows::kAnswer},  // answer_value    u64
-    {8, Rows::kPage},    // rank            u64
-    {4, Rows::kPage},    // base_sym        u32
-    {1, Rows::kPage},    // success         u8
-    {4, Rows::kPage},    // entry_count     u32
-    {8, Rows::kPage},    // extra_dns       u64
-    {8, Rows::kPage},    // extra_tls       u64
-};
-
-std::uint64_t rows_for(Rows rows, const ShardMeta& meta) {
-  switch (rows) {
-    case Rows::kEntry:
-      return meta.entries;
-    case Rows::kAnswer:
-      return meta.answers;
-    case Rows::kPage:
-      return meta.pages;
-  }
-  return 0;
-}
-
-template <typename T>
-void write_column(util::ByteWriter& writer, std::size_t tag,
-                  const util::ArenaColumn<T>& column) {
-  writer.u8(static_cast<std::uint8_t>(tag));
-  writer.u64(static_cast<std::uint64_t>(column.size() * sizeof(T)));
-  column.for_each_span([&writer](std::span<const T> span) {
-    writer.raw(span.data(), span.size_bytes());
-  });
-}
+using ColumnSpans =
+    std::array<std::span<const std::uint8_t>, kSnapshotColumnCount>;
 
 // Unaligned typed load out of a validated column payload.
-template <typename T>
-ORIGIN_HOT T load_at(std::span<const std::uint8_t> column, std::size_t row) {
+template <ColumnTag tag, typename T>
+ORIGIN_HOT T load_at(const ColumnSpans& columns, std::size_t row) {
+  static_assert(kFitsColumn<tag, T>, "value does not match column width");
   T value;
-  std::memcpy(&value, column.data() + row * sizeof(T), sizeof(T));
+  std::memcpy(&value, columns[tag].data() + row * sizeof(T), sizeof(T));
   return value;
 }
 
 // True when every row is < limit — the one shape all range validation
 // takes, since every valid domain here is a contiguous [0, limit) range.
-template <typename T>
-ORIGIN_HOT bool rows_below(std::span<const std::uint8_t> column,
-                           std::size_t rows, std::uint64_t limit) {
+// Row counts come from the column spans, whose lengths open() validated.
+template <ColumnTag tag, typename T>
+ORIGIN_HOT bool rows_below(const ColumnSpans& columns, std::uint64_t limit) {
+  const std::size_t rows = columns[tag].size() / sizeof(T);
   for (std::size_t i = 0; i < rows; ++i) {
-    if (load_at<T>(column, i) >= limit) return false;
+    if (load_at<tag, T>(columns, i) >= limit) return false;
   }
   return true;
 }
 
-template <typename T>
-ORIGIN_HOT std::uint64_t rows_sum(std::span<const std::uint8_t> column,
-                                  std::size_t rows) {
+template <ColumnTag tag, typename T>
+ORIGIN_HOT std::uint64_t rows_sum(const ColumnSpans& columns) {
+  const std::size_t rows = columns[tag].size() / sizeof(T);
   std::uint64_t sum = 0;
-  for (std::size_t i = 0; i < rows; ++i) sum += load_at<T>(column, i);
+  for (std::size_t i = 0; i < rows; ++i) sum += load_at<tag, T>(columns, i);
   return sum;
 }
 
@@ -147,13 +55,103 @@ util::Error snapshot_error(const char* what) {
 
 }  // namespace
 
+// --- TimelineColumns ------------------------------------------------------
+
+void TimelineColumns::set_identity(std::uint64_t shard_index,
+                                   std::uint64_t corpus_seed,
+                                   std::uint64_t first_site) {
+  shard_index_ = shard_index;
+  corpus_seed_ = corpus_seed;
+  first_site_ = first_site;
+}
+
+ORIGIN_HOT void TimelineColumns::append_page_row(const web::PageLoad& load,
+                                                 std::uint32_t base_sym) {
+  put<kPageRank>(load.tranco_rank);
+  put<kPageBaseSym>(base_sym);
+  put<kPageSuccess>(std::uint8_t{load.success});
+  put<kPageEntryCount>(static_cast<std::uint32_t>(load.entries.size()));
+  put<kPageExtraDns>(static_cast<std::uint64_t>(load.extra_dns_queries));
+  put<kPageExtraTls>(static_cast<std::uint64_t>(load.extra_tls_connections));
+}
+
+ORIGIN_HOT void TimelineColumns::append_entry_row(const web::HarEntry& entry,
+                                                  std::uint32_t host_sym,
+                                                  std::uint32_t issuer_sym) {
+  put<kEntryResourceIndex>(static_cast<std::int32_t>(entry.resource_index));
+  put<kEntryHostSym>(host_sym);
+  put<kEntryAddrFamily>(static_cast<std::uint8_t>(entry.server_address.family));
+  put<kEntryAddrValue>(entry.server_address.value);
+  put<kEntryAnswerCount>(
+      static_cast<std::uint16_t>(entry.dns_answer_set.size()));
+  put<kEntryAsn>(entry.asn);
+  put<kEntryVersion>(static_cast<std::uint8_t>(entry.version));
+  put<kEntryMode>(static_cast<std::uint8_t>(entry.mode));
+  put<kEntryContentType>(static_cast<std::uint8_t>(entry.content_type));
+  std::uint8_t flags = 0;
+  if (entry.secure) flags |= kSnapshotFlagSecure;
+  if (entry.new_dns_query) flags |= kSnapshotFlagNewDns;
+  if (entry.new_tls_connection) flags |= kSnapshotFlagNewTls;
+  if (entry.speculative_duplicate) flags |= kSnapshotFlagSpeculative;
+  if (entry.status_421) flags |= kSnapshotFlagStatus421;
+  put<kEntryFlags>(flags);
+  put<kEntryStartUs>(entry.start.micros());
+  put<kEntryBlockedUs>(entry.timings.blocked.count_micros());
+  put<kEntryDnsUs>(entry.timings.dns.count_micros());
+  put<kEntryConnectUs>(entry.timings.connect.count_micros());
+  put<kEntrySslUs>(entry.timings.ssl.count_micros());
+  put<kEntrySendUs>(entry.timings.send.count_micros());
+  put<kEntryWaitUs>(entry.timings.wait.count_micros());
+  put<kEntryReceiveUs>(entry.timings.receive.count_micros());
+  put<kEntryConnectionId>(entry.connection_id);
+  put<kEntryCertSerial>(entry.cert_serial);
+  put<kEntryIssuerSym>(issuer_sym);
+  put<kEntrySanCount>(entry.cert_san_count);
+  for (const dns::IpAddress& address : entry.dns_answer_set) {
+    put<kAnswerFamily>(static_cast<std::uint8_t>(address.family));
+    put<kAnswerValue>(address.value);
+  }
+}
+
+void TimelineColumns::append_page(const web::PageLoad& load) {
+  append_page_row(load, symbols_.intern(load.base_hostname));
+  for (const web::HarEntry& entry : load.entries) {
+    append_entry_row(entry, symbols_.intern(entry.hostname),
+                     symbols_.intern(entry.cert_issuer));
+  }
+}
+
+void TimelineColumns::clear() {
+  for (util::ByteWriter& column : columns_) column.clear();
+  symbols_.clear();
+}
+
+ShardMeta TimelineColumns::meta() const {
+  ShardMeta meta;
+  meta.shard_index = shard_index_;
+  meta.corpus_seed = corpus_seed_;
+  meta.first_site = first_site_;
+  for (std::size_t tag = 0; tag < kSnapshotColumnCount; ++tag) {
+    meta.*kColumnSpecs[tag].rows = rows(static_cast<ColumnTag>(tag));
+  }
+  meta.symbols = static_cast<std::uint32_t>(symbols_.size());
+  return meta;
+}
+
+// --- snapshot codec -------------------------------------------------------
+
 util::Bytes encode_snapshot(const TimelineColumns& columns) {
   const ShardMeta meta = columns.meta();
-  util::ByteWriter writer(64 + static_cast<std::size_t>(meta.symbols) * 24 +
-                          static_cast<std::size_t>(meta.entries) * 128 +
-                          static_cast<std::size_t>(meta.answers) * 9 +
-                          static_cast<std::size_t>(meta.pages) * 33 + 512 +
-                          kSnapshotFooterBytes);
+  // Exact size (61-byte header, length-prefixed symbols, 9-byte column
+  // framing, footer), so encoding costs one allocation.
+  std::size_t size = 61 + kSnapshotFooterBytes;
+  for (std::uint32_t i = 0; i < meta.symbols; ++i) {
+    size += 4 + columns.symbols_.name(i).size();
+  }
+  for (const util::ByteWriter& column : columns.columns_) {
+    size += 9 + column.size();
+  }
+  util::ByteWriter writer(size);
   writer.raw(std::string_view(kSnapshotMagic, sizeof(kSnapshotMagic)));
   writer.u32(kSnapshotVersion);
   writer.u8(std::endian::native == std::endian::little
@@ -167,40 +165,16 @@ util::Bytes encode_snapshot(const TimelineColumns& columns) {
   writer.u64(meta.answers);
   writer.u32(meta.symbols);
   for (std::uint32_t i = 0; i < meta.symbols; ++i) {
-    const std::string_view name = columns.symbol(i);
+    const std::string_view name = columns.symbols_.name(i);
     writer.u32(static_cast<std::uint32_t>(name.size()));
     writer.raw(name);
   }
-  write_column(writer, kEntryResourceIndex, columns.entry_resource_index_);
-  write_column(writer, kEntryHostSym, columns.entry_host_sym_);
-  write_column(writer, kEntryAddrFamily, columns.entry_addr_family_);
-  write_column(writer, kEntryAddrValue, columns.entry_addr_value_);
-  write_column(writer, kEntryAnswerCount, columns.entry_answer_count_);
-  write_column(writer, kEntryAsn, columns.entry_asn_);
-  write_column(writer, kEntryVersion, columns.entry_version_);
-  write_column(writer, kEntryMode, columns.entry_mode_);
-  write_column(writer, kEntryContentType, columns.entry_content_type_);
-  write_column(writer, kEntryFlags, columns.entry_flags_);
-  write_column(writer, kEntryStartUs, columns.entry_start_us_);
-  write_column(writer, kEntryBlockedUs, columns.entry_blocked_us_);
-  write_column(writer, kEntryDnsUs, columns.entry_dns_us_);
-  write_column(writer, kEntryConnectUs, columns.entry_connect_us_);
-  write_column(writer, kEntrySslUs, columns.entry_ssl_us_);
-  write_column(writer, kEntrySendUs, columns.entry_send_us_);
-  write_column(writer, kEntryWaitUs, columns.entry_wait_us_);
-  write_column(writer, kEntryReceiveUs, columns.entry_receive_us_);
-  write_column(writer, kEntryConnectionId, columns.entry_connection_id_);
-  write_column(writer, kEntryCertSerial, columns.entry_cert_serial_);
-  write_column(writer, kEntryIssuerSym, columns.entry_issuer_sym_);
-  write_column(writer, kEntrySanCount, columns.entry_san_count_);
-  write_column(writer, kAnswerFamily, columns.answer_family_);
-  write_column(writer, kAnswerValue, columns.answer_value_);
-  write_column(writer, kPageRank, columns.page_rank_);
-  write_column(writer, kPageBaseSym, columns.page_base_sym_);
-  write_column(writer, kPageSuccess, columns.page_success_);
-  write_column(writer, kPageEntryCount, columns.page_entry_count_);
-  write_column(writer, kPageExtraDns, columns.page_extra_dns_);
-  write_column(writer, kPageExtraTls, columns.page_extra_tls_);
+  for (std::size_t tag = 0; tag < kSnapshotColumnCount; ++tag) {
+    const util::Bytes& rows = columns.columns_[tag].bytes();
+    writer.u8(static_cast<std::uint8_t>(tag));
+    writer.u64(rows.size());
+    writer.raw(rows);
+  }
   // Integrity footer: CRC-64/XZ over every byte written so far. Appended
   // last so the file's own tail proves the whole payload intact.
   const std::uint64_t crc = util::crc64(writer.bytes());
@@ -264,6 +238,11 @@ util::Result<SnapshotReader> SnapshotReader::open(
     return snapshot_error("row count exceeds format limit");
   }
 
+  // Each symbol costs at least its 4-byte length prefix: a count the
+  // remaining bytes cannot hold is rejected before anything is reserved.
+  if (out.meta_.symbols > reader.remaining() / 4) {
+    return snapshot_error("bad symbol table");
+  }
   out.symbols_.reserve(out.meta_.symbols);
   for (std::uint32_t i = 0; i < out.meta_.symbols; ++i) {
     const std::uint32_t length = reader.u32();
@@ -274,12 +253,11 @@ util::Result<SnapshotReader> SnapshotReader::open(
   }
   if (!reader.ok()) return snapshot_error("truncated symbol table");
 
-  out.columns_.resize(kSnapshotColumnCount);
   for (std::size_t tag = 0; tag < kSnapshotColumnCount; ++tag) {
     if (reader.u8() != tag) return snapshot_error("column order");
     const std::uint64_t byte_length = reader.u64();
     const ColumnSpec& spec = kColumnSpecs[tag];
-    if (byte_length != rows_for(spec.rows, out.meta_) * spec.elem_size) {
+    if (byte_length != out.meta_.*spec.rows * spec.elem_size) {
       return snapshot_error("column length mismatch");
     }
     out.columns_[tag] = reader.raw(static_cast<std::size_t>(byte_length));
@@ -289,120 +267,114 @@ util::Result<SnapshotReader> SnapshotReader::open(
 
   // Semantic validation: every cross-reference and enum range is checked
   // here, once, so next_page() is infallible afterwards.
-  const std::size_t pages = static_cast<std::size_t>(out.meta_.pages);
-  const std::size_t entries = static_cast<std::size_t>(out.meta_.entries);
-  if (rows_sum<std::uint32_t>(out.columns_[kPageEntryCount], pages) !=
-      out.meta_.entries) {
+  const ColumnSpans& columns = out.columns_;
+  if (rows_sum<kPageEntryCount, std::uint32_t>(columns) != out.meta_.entries) {
     return snapshot_error("page entry counts do not sum to entry rows");
   }
-  if (rows_sum<std::uint16_t>(out.columns_[kEntryAnswerCount], entries) !=
+  if (rows_sum<kEntryAnswerCount, std::uint16_t>(columns) !=
       out.meta_.answers) {
     return snapshot_error("answer counts do not sum to answer rows");
   }
   const std::uint64_t symbols = out.meta_.symbols;
-  if (!rows_below<std::uint32_t>(out.columns_[kPageBaseSym], pages,
-                                 symbols) ||
-      !rows_below<std::uint32_t>(out.columns_[kEntryHostSym], entries,
-                                 symbols) ||
-      !rows_below<std::uint32_t>(out.columns_[kEntryIssuerSym], entries,
-                                 symbols)) {
+  if (!rows_below<kPageBaseSym, std::uint32_t>(columns, symbols) ||
+      !rows_below<kEntryHostSym, std::uint32_t>(columns, symbols) ||
+      !rows_below<kEntryIssuerSym, std::uint32_t>(columns, symbols)) {
     return snapshot_error("symbol reference out of range");
   }
-  const std::size_t answers = static_cast<std::size_t>(out.meta_.answers);
-  if (!rows_below<std::uint8_t>(out.columns_[kEntryAddrFamily], entries, 2) ||
-      !rows_below<std::uint8_t>(out.columns_[kAnswerFamily], answers, 2)) {
+  if (!rows_below<kEntryAddrFamily, std::uint8_t>(columns, 2) ||
+      !rows_below<kAnswerFamily, std::uint8_t>(columns, 2)) {
     return snapshot_error("bad address family");
   }
-  if (!rows_below<std::uint8_t>(
-          out.columns_[kEntryVersion], entries,
-          static_cast<std::uint64_t>(web::HttpVersion::kUnknown) + 1) ||
-      !rows_below<std::uint8_t>(
-          out.columns_[kEntryMode], entries,
-          static_cast<std::uint64_t>(web::RequestMode::kFetchApi) + 1) ||
-      !rows_below<std::uint8_t>(
-          out.columns_[kEntryContentType], entries,
-          static_cast<std::uint64_t>(web::ContentType::kOther) + 1)) {
+  constexpr auto kVersions =
+      static_cast<std::uint64_t>(web::HttpVersion::kUnknown) + 1;
+  constexpr auto kModes =
+      static_cast<std::uint64_t>(web::RequestMode::kFetchApi) + 1;
+  constexpr auto kContentTypes =
+      static_cast<std::uint64_t>(web::ContentType::kOther) + 1;
+  if (!rows_below<kEntryVersion, std::uint8_t>(columns, kVersions) ||
+      !rows_below<kEntryMode, std::uint8_t>(columns, kModes) ||
+      !rows_below<kEntryContentType, std::uint8_t>(columns, kContentTypes)) {
     return snapshot_error("enum value out of range");
   }
-  if (!rows_below<std::uint8_t>(out.columns_[kEntryFlags], entries,
-                                std::uint64_t{kSnapshotFlagMask} + 1)) {
+  if (!rows_below<kEntryFlags, std::uint8_t>(
+          columns, std::uint64_t{kSnapshotFlagMask} + 1)) {
     return snapshot_error("unknown entry flag bit");
   }
-  if (!rows_below<std::uint8_t>(out.columns_[kPageSuccess], pages, 2)) {
+  if (!rows_below<kPageSuccess, std::uint8_t>(columns, 2)) {
     return snapshot_error("bad success value");
   }
   return out;
 }
 
-template <typename T>
-T SnapshotReader::column(std::size_t tag, std::size_t row) const {
-  return load_at<T>(columns_[tag], row);
+template <ColumnTag tag, typename T>
+T SnapshotReader::column(std::size_t row) const {
+  return load_at<tag, T>(columns_, row);
 }
 
 bool SnapshotReader::next_page(web::PageLoad* out) {
   if (page_cursor_ >= meta_.pages) return false;
   const std::size_t page = page_cursor_++;
-  out->tranco_rank = column<std::uint64_t>(kPageRank, page);
-  out->base_hostname = symbols_[column<std::uint32_t>(kPageBaseSym, page)];
-  out->success = column<std::uint8_t>(kPageSuccess, page) != 0;
+  out->tranco_rank = column<kPageRank, std::uint64_t>(page);
+  out->base_hostname = symbols_[column<kPageBaseSym, std::uint32_t>(page)];
+  out->success = column<kPageSuccess, std::uint8_t>(page) != 0;
   out->extra_dns_queries = static_cast<std::size_t>(
-      column<std::uint64_t>(kPageExtraDns, page));
+      column<kPageExtraDns, std::uint64_t>(page));
   out->extra_tls_connections = static_cast<std::size_t>(
-      column<std::uint64_t>(kPageExtraTls, page));
+      column<kPageExtraTls, std::uint64_t>(page));
 
-  const std::size_t count = column<std::uint32_t>(kPageEntryCount, page);
+  const std::size_t count = column<kPageEntryCount, std::uint32_t>(page);
   out->entries.resize(count);
   for (std::size_t i = 0; i < count; ++i) {
     web::HarEntry& entry = out->entries[i];
     const std::size_t row = entry_cursor_++;
     entry.resource_index =
-        static_cast<int>(column<std::int32_t>(kEntryResourceIndex, row));
-    entry.hostname = symbols_[column<std::uint32_t>(kEntryHostSym, row)];
+        static_cast<int>(column<kEntryResourceIndex, std::int32_t>(row));
+    entry.hostname = symbols_[column<kEntryHostSym, std::uint32_t>(row)];
     entry.server_address.family = static_cast<dns::Family>(
-        column<std::uint8_t>(kEntryAddrFamily, row));
-    entry.server_address.value = column<std::uint64_t>(kEntryAddrValue, row);
+        column<kEntryAddrFamily, std::uint8_t>(row));
+    entry.server_address.value = column<kEntryAddrValue, std::uint64_t>(row);
     const std::size_t answer_count =
-        column<std::uint16_t>(kEntryAnswerCount, row);
+        column<kEntryAnswerCount, std::uint16_t>(row);
     entry.dns_answer_set.resize(answer_count);
     for (dns::IpAddress& address : entry.dns_answer_set) {
       address.family = static_cast<dns::Family>(
-          column<std::uint8_t>(kAnswerFamily, answer_cursor_));
-      address.value = column<std::uint64_t>(kAnswerValue, answer_cursor_);
+          column<kAnswerFamily, std::uint8_t>(answer_cursor_));
+      address.value = column<kAnswerValue, std::uint64_t>(answer_cursor_);
       ++answer_cursor_;
     }
-    entry.asn = column<std::uint32_t>(kEntryAsn, row);
+    entry.asn = column<kEntryAsn, std::uint32_t>(row);
     entry.version = static_cast<web::HttpVersion>(
-        column<std::uint8_t>(kEntryVersion, row));
+        column<kEntryVersion, std::uint8_t>(row));
     entry.mode = static_cast<web::RequestMode>(
-        column<std::uint8_t>(kEntryMode, row));
+        column<kEntryMode, std::uint8_t>(row));
     entry.content_type = static_cast<web::ContentType>(
-        column<std::uint8_t>(kEntryContentType, row));
-    const std::uint8_t flags = column<std::uint8_t>(kEntryFlags, row);
+        column<kEntryContentType, std::uint8_t>(row));
+    const std::uint8_t flags = column<kEntryFlags, std::uint8_t>(row);
     entry.secure = (flags & kSnapshotFlagSecure) != 0;
     entry.new_dns_query = (flags & kSnapshotFlagNewDns) != 0;
     entry.new_tls_connection = (flags & kSnapshotFlagNewTls) != 0;
     entry.speculative_duplicate = (flags & kSnapshotFlagSpeculative) != 0;
     entry.status_421 = (flags & kSnapshotFlagStatus421) != 0;
     entry.start = util::SimTime::from_micros(
-        column<std::int64_t>(kEntryStartUs, row));
+        column<kEntryStartUs, std::int64_t>(row));
     entry.timings.blocked =
-        util::Duration::micros(column<std::int64_t>(kEntryBlockedUs, row));
+        util::Duration::micros(column<kEntryBlockedUs, std::int64_t>(row));
     entry.timings.dns =
-        util::Duration::micros(column<std::int64_t>(kEntryDnsUs, row));
+        util::Duration::micros(column<kEntryDnsUs, std::int64_t>(row));
     entry.timings.connect =
-        util::Duration::micros(column<std::int64_t>(kEntryConnectUs, row));
+        util::Duration::micros(column<kEntryConnectUs, std::int64_t>(row));
     entry.timings.ssl =
-        util::Duration::micros(column<std::int64_t>(kEntrySslUs, row));
+        util::Duration::micros(column<kEntrySslUs, std::int64_t>(row));
     entry.timings.send =
-        util::Duration::micros(column<std::int64_t>(kEntrySendUs, row));
+        util::Duration::micros(column<kEntrySendUs, std::int64_t>(row));
     entry.timings.wait =
-        util::Duration::micros(column<std::int64_t>(kEntryWaitUs, row));
+        util::Duration::micros(column<kEntryWaitUs, std::int64_t>(row));
     entry.timings.receive =
-        util::Duration::micros(column<std::int64_t>(kEntryReceiveUs, row));
-    entry.connection_id = column<std::uint64_t>(kEntryConnectionId, row);
-    entry.cert_serial = column<std::uint64_t>(kEntryCertSerial, row);
-    entry.cert_issuer = symbols_[column<std::uint32_t>(kEntryIssuerSym, row)];
-    entry.cert_san_count = column<std::int64_t>(kEntrySanCount, row);
+        util::Duration::micros(column<kEntryReceiveUs, std::int64_t>(row));
+    entry.connection_id = column<kEntryConnectionId, std::uint64_t>(row);
+    entry.cert_serial = column<kEntryCertSerial, std::uint64_t>(row);
+    entry.cert_issuer = symbols_[column<kEntryIssuerSym, std::uint32_t>(row)];
+    entry.cert_san_count = column<kEntrySanCount, std::int64_t>(row);
   }
   return true;
 }
@@ -435,9 +407,7 @@ std::string shard_file_path(const std::string& dir, std::size_t index) {
 }
 
 std::string quarantine_file_path(const std::string& dir, std::size_t index) {
-  char name[32];
-  std::snprintf(name, sizeof(name), "shard_%06zu.ocs", index);
-  return dir + "/quarantine/" + name;
+  return shard_file_path(dir + "/quarantine", index);
 }
 
 }  // namespace origin::dataset

@@ -28,9 +28,8 @@ class ByteWriter {
   void u64(std::uint64_t v);
   void raw(std::span<const std::uint8_t> bytes);
   void raw(std::string_view s);
-  // Appends n raw bytes from untyped memory — the bulk column-payload path
-  // of the corpus snapshot writer, which serializes typed arena chunks
-  // without a per-element cast.
+  // Appends n raw bytes from untyped memory — how the columnar corpus
+  // store (dataset/snapshot.h) appends one typed row without a cast.
   void raw(const void* data, std::size_t n);
 
   // Overwrites previously written bytes (e.g. to back-patch a length field).
@@ -40,6 +39,9 @@ class ByteWriter {
   std::size_t size() const { return buf_.size(); }
   const Bytes& bytes() const { return buf_; }
   Bytes take() { return std::move(buf_); }
+  // Drops the bytes but keeps the capacity, so a reused writer stops
+  // allocating once it has held its largest payload.
+  void clear() { buf_.clear(); }
 
  private:
   Bytes buf_;

@@ -8,6 +8,8 @@
 
 #include <cstdio>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -16,6 +18,8 @@
 #include "dataset/generator.h"
 #include "dataset/snapshot.h"
 #include "measure/stream.h"
+#include "util/alloc_guard.h"
+#include "util/hash.h"
 #include "web/har_json.h"
 
 namespace origin {
@@ -28,6 +32,10 @@ dataset::CorpusOptions corpus_options(std::size_t site_count) {
   options.tail_service_count = 200;
   return options;
 }
+
+// Recorded from the encoder; see EncodedBytesMatchGoldenCrc.
+constexpr std::size_t kGoldenShardBytes = 199'729;
+constexpr std::uint64_t kGoldenShardCrc = 0x940490ECF0B6954F;
 
 dataset::StreamingOptions streaming_options(std::size_t threads,
                                             std::size_t sites_per_shard) {
@@ -80,6 +88,102 @@ TEST(CorpusSnapshot, EmptyShardRoundTrips) {
   EXPECT_EQ(reader->meta().pages, 0u);
   web::PageLoad page;
   EXPECT_FALSE(reader.value().next_page(&page));
+}
+
+// A fixed, seeded multi-page shard straight from the loader. The race and
+// 421 rates are raised above their defaults so the shard exercises every
+// entry flag bit, not just the common ones.
+std::vector<web::PageLoad> golden_loads() {
+  dataset::Corpus corpus(corpus_options(40));
+  dataset::CollectOptions collect;
+  collect.max_sites = 12;
+  collect.loader.speculative_extra_connection = 0.5;
+  collect.loader.misdirected_rate = 0.2;
+  std::vector<web::PageLoad> loads;
+  dataset::collect(corpus, collect,
+                   [&](const dataset::SiteInfo&, const web::PageLoad& load) {
+                     loads.push_back(load);
+                   });
+  return loads;
+}
+
+// Wire-format golden: the OCS1 bytes of a fixed shard are pinned by their
+// CRC-64, so any change to column order, widths, framing or symbol order
+// shows up here rather than as a silently different spill file.
+TEST(CorpusSnapshot, EncodedBytesMatchGoldenCrc) {
+  const std::vector<web::PageLoad> loads = golden_loads();
+  ASSERT_GE(loads.size(), 2u);
+  dataset::TimelineColumns columns;
+  columns.set_identity(5, 1213, 300);
+  for (const web::PageLoad& load : loads) columns.append_page(load);
+  const util::Bytes encoded = dataset::encode_snapshot(columns);
+
+  // Coverage of the fixture itself: symbols, DNS answer rows and each flag.
+  const dataset::ShardMeta meta = columns.meta();
+  EXPECT_GT(meta.symbols, 2u);
+  EXPECT_GT(meta.answers, 0u);
+  bool secure = false, new_dns = false, new_tls = false;
+  bool speculative = false, status_421 = false;
+  for (const web::PageLoad& load : loads) {
+    for (const web::HarEntry& entry : load.entries) {
+      secure |= entry.secure;
+      new_dns |= entry.new_dns_query;
+      new_tls |= entry.new_tls_connection;
+      speculative |= entry.speculative_duplicate;
+      status_421 |= entry.status_421;
+    }
+  }
+  EXPECT_TRUE(secure && new_dns && new_tls && speculative && status_421);
+
+  EXPECT_EQ(encoded.size(), kGoldenShardBytes);
+  EXPECT_EQ(util::crc64(encoded), kGoldenShardCrc);
+}
+
+// The committed empty-shard fuzz seed decodes and re-encodes to its own
+// bytes: the encoder still writes exactly the format the seed was cut from.
+TEST(CorpusSnapshot, CommittedEmptyShardReencodesIdentically) {
+  std::ifstream file(ORIGIN_FUZZ_CORPUS_DIR "/corpus_snapshot/empty_shard.ocs",
+                     std::ios::binary);
+  ASSERT_TRUE(file.good());
+  const util::Bytes seed{std::istreambuf_iterator<char>(file),
+                         std::istreambuf_iterator<char>()};
+  auto reader = dataset::SnapshotReader::open(seed);
+  ASSERT_TRUE(reader.ok()) << reader.error().message;
+  EXPECT_EQ(reader->meta().pages, 0u);
+  dataset::TimelineColumns columns;
+  columns.set_identity(reader->meta().shard_index, reader->meta().corpus_seed,
+                       reader->meta().first_site);
+  EXPECT_EQ(dataset::encode_snapshot(columns), seed);
+}
+
+// Refilling a warm shard must not allocate per row (DESIGN.md §14): once
+// the columns have held 2N pages, refilling them with N or with 2N pages
+// costs the same allocations (symbol interning only), so the row appends
+// themselves allocate nothing.
+TEST(CorpusSnapshot, WarmRefillAllocatesIndependentOfRowCount) {
+  ASSERT_TRUE(util::alloc_hook_touch());
+  const std::vector<web::PageLoad> loads = golden_loads();
+  ASSERT_FALSE(loads.empty());
+  constexpr std::size_t kPages = 64;
+  const auto fill = [&](dataset::TimelineColumns& columns, std::size_t n) {
+    columns.clear();
+    columns.set_identity(0, 1213, 0);
+    for (std::size_t i = 0; i < n; ++i) {
+      columns.append_page(loads[i % loads.size()]);
+    }
+  };
+  dataset::TimelineColumns columns;
+  fill(columns, 2 * kPages);
+
+  util::AllocGuard guard;
+  fill(columns, kPages);
+  const std::uint64_t half = guard.allocations();
+  guard.reset();
+  fill(columns, 2 * kPages);
+  const std::uint64_t full = guard.allocations();
+
+  EXPECT_EQ(columns.page_count(), 2 * kPages);
+  EXPECT_EQ(half, full) << "warm refill allocated per appended row";
 }
 
 TEST(CorpusSnapshot, RoundTripIsByteIdenticalAndCanonical) {

@@ -543,6 +543,16 @@ TEST(FuzzRegressionCorpusSnapshot, HugeRowCountRejected) {
   EXPECT_FALSE(open_snapshot(reseal(std::move(snapshot))).ok());
 }
 
+TEST(FuzzRegressionCorpusSnapshot, HugeSymbolCountRejectedWithoutReserving) {
+  // Found by replaying resealed random mutations: the symbols field
+  // (header offset 57) forced to 2^32 - 1 once made open() reserve 4G
+  // strings before reading any of them. Every symbol needs at least its
+  // 4-byte length prefix, so the count must be rejected up front.
+  Bytes snapshot = empty_shard_snapshot();
+  for (std::size_t i = 57; i < 61; ++i) snapshot[i] = 0xFF;
+  EXPECT_FALSE(open_snapshot(reseal(std::move(snapshot))).ok());
+}
+
 TEST(FuzzRegressionCorpusSnapshot, BigEndianSentinelRejected) {
   // corpus: corpus_snapshot/bad_endian.ocs — column payloads are declared
   // little-endian; a sentinel of 2 (big-endian writer) must be rejected
