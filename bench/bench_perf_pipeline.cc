@@ -6,8 +6,9 @@
 // digest of the serialized HAR stream per run — the digest must be
 // identical across thread counts (the determinism contract; also enforced
 // bitwise by pipeline_determinism_test), and a mismatch fails the run.
-// `digest_ms` is the serial HAR-digest sink (print each page as HAR JSON,
-// FNV it), timed apart from the parallel page loads in `load_ms`.
+// `digest_ms` is the serial HAR-digest sink (web::har_fingerprint: FNV of
+// each page's HAR print, streamed without building the string), timed apart
+// from the parallel page loads in `load_ms`.
 // Wall-clock speedups are only meaningful on a multi-core host; on one core
 // the interesting column is the digest.
 #include <chrono>
@@ -60,8 +61,7 @@ RunResult run_once(const origin::bench::Args& args, std::size_t threads,
   dataset::collect(corpus, collect_options,
                    [&](const dataset::SiteInfo&, const web::PageLoad& load) {
                      const auto d0 = std::chrono::steady_clock::now();
-                     digest = origin::util::fnv1a64(web::to_har_string(load),
-                                                    digest);
+                     digest = web::har_fingerprint(load, digest);
                      result.digest_ms += bench::ms_since(d0);
                      loads.push_back(load);
                    });

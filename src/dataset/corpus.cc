@@ -10,7 +10,6 @@
 #include "dataset/snapshot.h"
 #include "model/coalescing_model.h"
 #include "util/crash.h"
-#include "util/fnv.h"
 #include "util/hash.h"
 #include "util/hot_path.h"
 #include "util/thread_pool.h"
@@ -21,7 +20,7 @@ namespace origin::dataset {
 namespace {
 
 std::uint64_t digest_page(const web::PageLoad& load, std::uint64_t digest) {
-  return util::fnv1a64(web::to_har_string(load), digest);
+  return web::har_fingerprint(load, digest);
 }
 
 // Recognizes `shard_NNNNNN.ocs` spill files and extracts the index, so the

@@ -480,9 +480,10 @@ web::Webpage Corpus::page_for_site(std::size_t site_index) const {
     }
     dest_modes[d] = mode;
   }
-  // The site's own protocol is a deployment property, fixed per site.
-  const bool site_h11 =
-      site.provider == "Long Tail Hosting" && rng.bernoulli(0.20);
+  // Nothing reads this draw, but it advances the RNG stream, which holds
+  // every generated corpus (and every golden and digest) in place; drawing
+  // it for other providers too would shift them all.
+  if (site.provider == "Long Tail Hosting") (void)rng.bernoulli(0.20);
 
   int last_dest_index = -1;  // dests[] index of the previous third-party pick
   for (std::size_t r = 0; r < subresource_count; ++r) {

@@ -1,20 +1,30 @@
 #include "dns/record.h"
 
-#include <cstdio>
+#include <algorithm>
+#include <charconv>
 
 namespace origin::dns {
 
-std::string IpAddress::to_string() const {
-  char buf[64];
+std::string_view IpAddress::format(char (&buf)[kMaxTextSize]) const {
+  char* out = buf;
+  char* const end = buf + kMaxTextSize;
   if (family == Family::kV4) {
-    auto v = static_cast<std::uint32_t>(value);
-    std::snprintf(buf, sizeof(buf), "%u.%u.%u.%u", v >> 24, (v >> 16) & 0xff,
-                  (v >> 8) & 0xff, v & 0xff);
+    const auto v = static_cast<std::uint32_t>(value);
+    for (int shift = 24; shift >= 0; shift -= 8) {
+      if (shift != 24) *out++ = '.';
+      out = std::to_chars(out, end, (v >> shift) & 0xff).ptr;
+    }
   } else {
-    std::snprintf(buf, sizeof(buf), "2001:db8::%llx",
-                  static_cast<unsigned long long>(value));
+    constexpr std::string_view kPrefix = "2001:db8::";
+    out = std::copy(kPrefix.begin(), kPrefix.end(), out);
+    out = std::to_chars(out, end, value, 16).ptr;
   }
-  return buf;
+  return {buf, static_cast<std::size_t>(out - buf)};
+}
+
+std::string IpAddress::to_string() const {
+  char buf[kMaxTextSize];
+  return std::string(format(buf));
 }
 
 const char* record_type_name(RecordType type) {

@@ -6,6 +6,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "util/hash.h"
@@ -25,6 +26,11 @@ struct IpAddress {
     return IpAddress{Family::kV6, value};
   }
 
+  // Longest text form: "2001:db8::" plus 16 hex digits.
+  static constexpr std::size_t kMaxTextSize = 32;
+  // Writes the text form ("a.b.c.d" or "2001:db8::<hex>") into `buf` and
+  // returns it, allocating nothing; to_string() copies the same text.
+  std::string_view format(char (&buf)[kMaxTextSize]) const;
   std::string to_string() const;
   bool operator==(const IpAddress&) const = default;
   auto operator<=>(const IpAddress&) const = default;

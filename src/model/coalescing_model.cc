@@ -43,8 +43,11 @@ util::SymbolId with_joined_key(std::string_view prefix, std::string_view rest,
   std::string heap;
   std::string_view key;
   if (prefix.size() + rest.size() <= sizeof(stack)) {
-    std::memcpy(stack, prefix.data(), prefix.size());
-    std::memcpy(stack + prefix.size(), rest.data(), rest.size());
+    // memcpy from an empty view's null data() is UB even at size 0.
+    if (!prefix.empty()) std::memcpy(stack, prefix.data(), prefix.size());
+    if (!rest.empty()) {
+      std::memcpy(stack + prefix.size(), rest.data(), rest.size());
+    }
     key = {stack, prefix.size() + rest.size()};
   } else {
     heap.reserve(prefix.size() + rest.size());

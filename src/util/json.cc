@@ -2,7 +2,7 @@
 
 #include <cctype>
 #include <cmath>
-#include <cstdio>
+#include <cstdlib>
 #include <limits>
 
 namespace origin::util {
@@ -12,30 +12,6 @@ namespace {
 const Json& null_json() {
   static const Json kNull;
   return kNull;
-}
-
-void escape_into(std::string& out, const std::string& s) {
-  out.push_back('"');
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\r': out += "\\r"; break;
-      case '\t': out += "\\t"; break;
-      case '\b': out += "\\b"; break;
-      case '\f': out += "\\f"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out.push_back(c);
-        }
-    }
-  }
-  out.push_back('"');
 }
 
 class Parser {
@@ -250,59 +226,35 @@ const Json& Json::operator[](const std::string& key) const {
   return it == as_object().end() ? null_json() : it->second;
 }
 
-void Json::dump_to(std::string& out, int indent, int depth) const {
-  auto newline = [&](int d) {
-    if (indent > 0) {
-      out.push_back('\n');
-      out.append(static_cast<std::size_t>(indent * d), ' ');
-    }
-  };
+void Json::write(JsonWriter<std::string>& writer) const {
   if (is_null()) {
-    out += "null";
+    writer.null();
   } else if (is_bool()) {
-    out += as_bool() ? "true" : "false";
+    writer.value(as_bool());
   } else if (const auto* i = std::get_if<std::int64_t>(&value_)) {
-    out += std::to_string(*i);
+    writer.value(*i);
   } else if (const auto* d = std::get_if<double>(&value_)) {
-    if (std::isfinite(*d)) {
-      char buf[32];
-      std::snprintf(buf, sizeof(buf), "%.15g", *d);
-      out += buf;
-    } else {
-      out += "null";  // JSON has no Inf/NaN
-    }
+    writer.value(*d);
   } else if (is_string()) {
-    escape_into(out, as_string());
+    writer.value(std::string_view(as_string()));
   } else if (is_array()) {
-    const auto& array = as_array();
-    out.push_back('[');
-    for (std::size_t i = 0; i < array.size(); ++i) {
-      if (i > 0) out.push_back(',');
-      newline(depth + 1);
-      array[i].dump_to(out, indent, depth + 1);
-    }
-    if (!array.empty()) newline(depth);
-    out.push_back(']');
+    writer.begin_array();
+    for (const Json& item : as_array()) item.write(writer);
+    writer.end_array();
   } else {
-    const auto& object = as_object();
-    out.push_back('{');
-    std::size_t i = 0;
-    for (const auto& [key, value] : object) {
-      if (i++ > 0) out.push_back(',');
-      newline(depth + 1);
-      escape_into(out, key);
-      out.push_back(':');
-      if (indent > 0) out.push_back(' ');
-      value.dump_to(out, indent, depth + 1);
+    writer.begin_object();
+    for (const auto& [key, value] : as_object()) {
+      writer.key(key);
+      value.write(writer);
     }
-    if (!object.empty()) newline(depth);
-    out.push_back('}');
+    writer.end_object();
   }
 }
 
 std::string Json::dump(int indent) const {
   std::string out;
-  dump_to(out, indent, 0);
+  JsonWriter<std::string> writer(out, indent);
+  write(writer);
   return out;
 }
 

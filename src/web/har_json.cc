@@ -1,73 +1,86 @@
 #include "web/har_json.h"
 
+#include "util/hot_path.h"
+
 namespace origin::web {
 
 using origin::util::Json;
+using origin::util::JsonWriter;
 using origin::util::make_error;
 using origin::util::Result;
 
 namespace {
 
-Json timings_json(const PhaseTimings& timings) {
-  Json::Object out;
-  out["blocked"] = timings.blocked.as_millis();
-  out["dns"] = timings.dns.as_millis();
-  out["connect"] = timings.connect.as_millis();
-  out["ssl"] = timings.ssl.as_millis();
-  out["send"] = timings.send.as_millis();
-  out["wait"] = timings.wait.as_millis();
-  out["receive"] = timings.receive.as_millis();
-  return Json(std::move(out));
+// Members in byte order throughout, as Json::dump prints a parsed HAR.
+template <typename Sink>
+void write_timings(const PhaseTimings& timings, JsonWriter<Sink>& w) {
+  w.begin_object();
+  w.field("blocked", timings.blocked.as_millis());
+  w.field("connect", timings.connect.as_millis());
+  w.field("dns", timings.dns.as_millis());
+  w.field("receive", timings.receive.as_millis());
+  w.field("send", timings.send.as_millis());
+  w.field("ssl", timings.ssl.as_millis());
+  w.field("wait", timings.wait.as_millis());
+  w.end_object();
+}
+
+template <typename Sink>
+void write_entry(const HarEntry& entry, JsonWriter<Sink>& w) {
+  char address_text[dns::IpAddress::kMaxTextSize];
+  const std::string_view address = entry.server_address.format(address_text);
+  w.begin_object();
+  // Reproduction-specific fields travel in an extension block, as HAR
+  // custom fields conventionally do (leading underscore).
+  w.key("_origin");
+  w.begin_object();
+  w.field("addressV6", entry.server_address.family == dns::Family::kV6);
+  w.field("addressValue",
+          static_cast<std::int64_t>(entry.server_address.value));
+  w.field("asn", static_cast<std::int64_t>(entry.asn));
+  w.field("certIssuer", entry.cert_issuer);
+  w.field("certSanCount", entry.cert_san_count);
+  w.field("certSerial", static_cast<std::int64_t>(entry.cert_serial));
+  w.field("connectionId", static_cast<std::int64_t>(entry.connection_id));
+  w.key("dnsAnswerSet");
+  w.begin_array();
+  for (const auto& answer : entry.dns_answer_set) {
+    w.value(static_cast<std::int64_t>(answer.value));
+  }
+  w.end_array();
+  w.field("mode", web::request_mode_name(entry.mode));
+  w.field("newDnsQuery", entry.new_dns_query);
+  w.field("newTlsConnection", entry.new_tls_connection);
+  w.field("resourceIndex",
+          static_cast<std::int64_t>(entry.resource_index));
+  w.field("serverAddress", address);
+  w.field("speculativeDuplicate", entry.speculative_duplicate);
+  w.end_object();
+  w.key("request");
+  w.begin_object();
+  w.field("httpVersion", web::http_version_name(entry.version));
+  w.field("method", "GET");
+  w.key("url");
+  w.value_parts({entry.secure ? "https://" : "http://", entry.hostname, "/"});
+  w.end_object();
+  w.key("response");
+  w.begin_object();
+  w.key("content");
+  w.begin_object();
+  w.field("mimeType", web::content_type_name(entry.content_type));
+  w.end_object();
+  w.field("status", std::int64_t{entry.status_421 ? 421 : 200});
+  w.end_object();
+  w.field("serverIPAddress", address);
+  w.field("startedDateTime", entry.start.as_millis());
+  w.field("time", entry.timings.total().as_millis());
+  w.key("timings");
+  write_timings(entry.timings, w);
+  w.end_object();
 }
 
 origin::util::Duration millis_field(const Json& timings, const char* key) {
   return origin::util::Duration::millis(timings[key].double_or(0.0));
-}
-
-Json entry_json(const HarEntry& entry) {
-  Json::Object request;
-  request["method"] = "GET";
-  request["url"] = std::string(entry.secure ? "https://" : "http://") +
-                   entry.hostname + "/";
-  request["httpVersion"] = web::http_version_name(entry.version);
-
-  Json::Object response;
-  response["status"] = entry.status_421 ? 421 : 200;
-  Json::Object content;
-  content["mimeType"] = web::content_type_name(entry.content_type);
-  response["content"] = Json(std::move(content));
-
-  // Reproduction-specific fields travel in an extension block, as HAR
-  // custom fields conventionally do (leading underscore).
-  Json::Object extension;
-  extension["resourceIndex"] = entry.resource_index;
-  extension["asn"] = static_cast<std::int64_t>(entry.asn);
-  extension["serverAddress"] = entry.server_address.to_string();
-  extension["addressValue"] = static_cast<std::int64_t>(entry.server_address.value);
-  extension["addressV6"] = entry.server_address.family == dns::Family::kV6;
-  Json::Array answers;
-  for (const auto& address : entry.dns_answer_set) {
-    answers.push_back(Json(static_cast<std::int64_t>(address.value)));
-  }
-  extension["dnsAnswerSet"] = Json(std::move(answers));
-  extension["mode"] = web::request_mode_name(entry.mode);
-  extension["newDnsQuery"] = entry.new_dns_query;
-  extension["newTlsConnection"] = entry.new_tls_connection;
-  extension["speculativeDuplicate"] = entry.speculative_duplicate;
-  extension["connectionId"] = static_cast<std::int64_t>(entry.connection_id);
-  extension["certSerial"] = static_cast<std::int64_t>(entry.cert_serial);
-  extension["certIssuer"] = entry.cert_issuer;
-  extension["certSanCount"] = entry.cert_san_count;
-
-  Json::Object out;
-  out["startedDateTime"] = entry.start.as_millis();
-  out["time"] = entry.timings.total().as_millis();
-  out["request"] = Json(std::move(request));
-  out["response"] = Json(std::move(response));
-  out["timings"] = timings_json(entry.timings);
-  out["serverIPAddress"] = entry.server_address.to_string();
-  out["_origin"] = Json(std::move(extension));
-  return Json(std::move(out));
 }
 
 HttpVersion version_from_name(const std::string& name) {
@@ -103,38 +116,59 @@ RequestMode mode_from_name(const std::string& name) {
 
 }  // namespace
 
-Json to_har_json(const PageLoad& load) {
-  Json::Object creator;
-  creator["name"] = "respect-the-origin-repro";
-  creator["version"] = "1.0";
-
-  Json::Object page;
-  page["id"] = load.base_hostname;
-  page["title"] = std::string("https://") + load.base_hostname + "/";
-  Json::Object page_timings;
-  page_timings["onLoad"] = load.page_load_time().as_millis();
-  page["pageTimings"] = Json(std::move(page_timings));
-  page["_trancoRank"] = static_cast<std::int64_t>(load.tranco_rank);
-  page["_success"] = load.success;
-  page["_extraDnsQueries"] = load.extra_dns_queries;
-  page["_extraTlsConnections"] = load.extra_tls_connections;
-
-  Json::Array entries;
-  for (const auto& entry : load.entries) entries.push_back(entry_json(entry));
-
-  Json::Object log;
-  log["version"] = "1.2";
-  log["creator"] = Json(std::move(creator));
-  log["pages"] = Json(Json::Array{Json(std::move(page))});
-  log["entries"] = Json(std::move(entries));
-
-  Json::Object root;
-  root["log"] = Json(std::move(log));
-  return Json(std::move(root));
+template <typename Sink>
+void write_har(const PageLoad& load, JsonWriter<Sink>& w) {
+  w.begin_object();
+  w.key("log");
+  w.begin_object();
+  w.key("creator");
+  w.begin_object();
+  w.field("name", "respect-the-origin-repro");
+  w.field("version", "1.0");
+  w.end_object();
+  w.key("entries");
+  w.begin_array();
+  for (const HarEntry& entry : load.entries) write_entry(entry, w);
+  w.end_array();
+  w.key("pages");
+  w.begin_array();
+  w.begin_object();
+  w.field("_extraDnsQueries",
+          static_cast<std::int64_t>(load.extra_dns_queries));
+  w.field("_extraTlsConnections",
+          static_cast<std::int64_t>(load.extra_tls_connections));
+  w.field("_success", load.success);
+  w.field("_trancoRank", static_cast<std::int64_t>(load.tranco_rank));
+  w.field("id", load.base_hostname);
+  w.key("pageTimings");
+  w.begin_object();
+  w.field("onLoad", load.page_load_time().as_millis());
+  w.end_object();
+  w.key("title");
+  w.value_parts({"https://", load.base_hostname, "/"});
+  w.end_object();
+  w.end_array();
+  w.field("version", "1.2");
+  w.end_object();
+  w.end_object();
 }
 
+template void write_har(const PageLoad&, JsonWriter<std::string>&);
+template void write_har(const PageLoad&, JsonWriter<util::Fnv1a64>&);
+
 std::string to_har_string(const PageLoad& load, int indent) {
-  return to_har_json(load).dump(indent);
+  std::string out;
+  JsonWriter<std::string> writer(out, indent);
+  write_har(load, writer);
+  return out;
+}
+
+ORIGIN_HOT std::uint64_t har_fingerprint(const PageLoad& load,
+                                         std::uint64_t seed) {
+  util::Fnv1a64 hash(seed);
+  JsonWriter<util::Fnv1a64> writer(hash, kHarIndent);
+  write_har(load, writer);
+  return hash.value();
 }
 
 // Every field access below must be total: a HAR document is external input

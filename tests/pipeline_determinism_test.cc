@@ -186,7 +186,7 @@ TEST(PipelineDeterminism, InternedModelMatchesStringKeyedBaseline) {
     // replay, plus one that matches nothing.
     const std::string site_group{
         interned.group_name(interned.group_of(loads[0].base_hostname, 0))};
-    for (const std::string restrict_to : {std::string(), site_group,
+    for (const std::string& restrict_to : {std::string(), site_group,
                                           std::string("as99999999")}) {
       for (std::size_t threads : {std::size_t{1}, std::size_t{8}}) {
         const auto analyses = interned.analyze_batch(loads, threads);
