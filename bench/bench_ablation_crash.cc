@@ -297,7 +297,7 @@ int main(int argc, char** argv) {
     row["shards_regenerated"] = regenerated;
     row["shards_quarantined"] = quarantined;
     row["manifest_resets"] = resets;
-    matrix.push_back(Json(std::move(row)));
+    matrix.emplace_back(std::move(row));
   }
 
   // Leg 3: corruption — clean kill at the analyze boundary leaves every

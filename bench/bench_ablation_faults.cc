@@ -212,8 +212,7 @@ KillSwitchReplay run_kill_switch_replay() {
             const std::string& reason) {
         ks.record_outcome(tag, origin_sent, cdn::abnormal_close(reason));
       });
-  world.net.install_middlebox(
-      "affected", std::make_shared<h2::StrictFrameMiddlebox>());
+  world.net.install_middlebox("affected", h2::strict_av_agent());
 
   auto run_tagged = [&world](const std::string& tag) {
     browser::LoaderOptions options;

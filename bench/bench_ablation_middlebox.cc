@@ -63,15 +63,13 @@ Outcome run_case(bool server_origin, int middlebox_kind) {
   server.listen(net, IpAddress::v4(0x0A000001));
 
   if (middlebox_kind == 1) {
-    net.install_middlebox("wire-client",
-                          std::make_shared<h2::PassiveInspector>());
+    net.install_middlebox("wire-client", h2::passive_inspector());
   } else if (middlebox_kind == 2) {
-    net.install_middlebox("wire-client",
-                          std::make_shared<h2::StrictFrameMiddlebox>());
+    net.install_middlebox("wire-client", h2::strict_av_agent());
   } else if (middlebox_kind == 3) {
-    auto fixed = std::make_shared<h2::StrictFrameMiddlebox>();
-    fixed->add_known_type(0x0c);  // the vendor's September-2022 fix
-    fixed->add_known_type(0x0a);
+    auto fixed = h2::strict_av_agent();
+    fixed->forward_type(0x0c);  // the vendor's September-2022 fix
+    fixed->forward_type(0x0a);
     net.install_middlebox("wire-client", fixed);
   }
 

@@ -7,45 +7,20 @@
 // corpus-replay fast path) must be >= 3x the string-keyed baseline measured
 // in the same run (the acceptance check), and `fused_batch.pages_per_sec`
 // may fall at most 10% below the committed baseline (the harness gate).
-// Allocation counts come from a global operator new hook: total allocations
-// per page for the baseline loop vs the interned fused path, plus the
-// steady-state count for a second fused pass over warmed per-thread scratch.
-#include <atomic>
+// Allocation counts come from util/alloc_guard's process-wide total (every
+// thread's allocations): total allocations per page for the baseline loop vs
+// the interned fused path, plus the steady-state count for a second fused
+// pass over warmed per-thread scratch.
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
-#include <new>
 #include <string>
 #include <vector>
 
 #include "bench_common.h"
 #include "model/baseline_model.h"
 #include "model/coalescing_model.h"
+#include "util/alloc_guard.h"
 #include "util/json.h"
-
-namespace {
-
-std::atomic<std::uint64_t> g_allocations{0};
-std::atomic<bool> g_counting{false};
-
-}  // namespace
-
-// Counting hooks; counting is off except inside measured regions so corpus
-// construction noise never lands in the reported numbers.
-void* operator new(std::size_t size) {
-  if (g_counting.load(std::memory_order_relaxed)) {
-    g_allocations.fetch_add(1, std::memory_order_relaxed);
-  }
-  if (void* ptr = std::malloc(size == 0 ? 1 : size)) return ptr;
-  throw std::bad_alloc();
-}
-
-void* operator new[](std::size_t size) { return ::operator new(size); }
-
-void operator delete(void* ptr) noexcept { std::free(ptr); }
-void operator delete[](void* ptr) noexcept { std::free(ptr); }
-void operator delete(void* ptr, std::size_t) noexcept { std::free(ptr); }
-void operator delete[](void* ptr, std::size_t) noexcept { std::free(ptr); }
 
 namespace {
 
@@ -54,17 +29,16 @@ struct Measurement {
   std::uint64_t allocations = 0;
 };
 
-// Runs `body` with the allocation counter armed and wall-clock timed.
+// Runs `body` wall-clock timed, counting the allocations every thread made
+// meanwhile so corpus construction noise never lands in the numbers.
 template <typename Fn>
 Measurement timed(Fn&& body) {
   Measurement m;
-  g_allocations.store(0, std::memory_order_relaxed);
-  g_counting.store(true, std::memory_order_relaxed);
+  const std::uint64_t before = origin::util::process_alloc_counts().allocations;
   const auto start = std::chrono::steady_clock::now();
   body();
   m.ms = origin::bench::ms_since(start);
-  g_counting.store(false, std::memory_order_relaxed);
-  m.allocations = g_allocations.load(std::memory_order_relaxed);
+  m.allocations = origin::util::process_alloc_counts().allocations - before;
   return m;
 }
 

@@ -109,8 +109,7 @@ std::string run_scenario(std::uint8_t mode, const std::uint8_t* payload,
 
   Bytes wire;
   if (with_preface) {
-    wire.assign(origin::h2::kClientPreface.begin(),
-                origin::h2::kClientPreface.end());
+    wire = origin::util::from_string(origin::h2::kClientPreface);
   }
   wire.insert(wire.end(), payload, payload + payload_size);
 

@@ -166,7 +166,7 @@ Bytes AbusiveClient::burst_bytes(std::size_t round) {
   Bytes wire;
   if (round == 0) {
     // Even attackers must complete the preface to get past frame parsing.
-    wire.insert(wire.end(), kClientPreface.begin(), kClientPreface.end());
+    wire = util::from_string(kClientPreface);
     SettingsFrame settings;
     const Bytes frame = serialize_frame(Frame{settings});
     wire.insert(wire.end(), frame.begin(), frame.end());

@@ -23,7 +23,7 @@ Connection::Connection(Role role, Origin initial_origin,
   // Connection preface: the client sends the magic octets; both sides then
   // send their initial SETTINGS (RFC 9113 §3.4).
   if (role_ == Role::kClient) {
-    output_.insert(output_.end(), kClientPreface.begin(), kClientPreface.end());
+    output_ = util::from_string(kClientPreface);
   }
   SettingsFrame settings;
   settings.settings = local_settings_.diff_from_defaults();

@@ -21,32 +21,20 @@ std::span<const std::uint8_t> strip_preface(
 
 }  // namespace
 
-netsim::Middlebox::Verdict PassiveInspector::inspect(
-    std::uint64_t connection_id, std::span<const std::uint8_t> bytes,
-    bool to_server) {
-  // A real inspector tracks the preface too — for counting purposes
-  // treating a parse failure as opaque passthrough suffices.
-  auto& parser = parsers_[{connection_id, to_server}];
-  auto frames = parser.feed(strip_preface(bytes, to_server));
-  if (frames.ok()) frames_seen_ += frames->size();
-  return Verdict::kForward;
-}
+FrameTypeMiddlebox::FrameTypeMiddlebox(TypeSet teardown_types,
+                                       std::string name)
+    : teardown_types_(teardown_types), name_(std::move(name)) {}
 
-StrictFrameMiddlebox::StrictFrameMiddlebox() {
-  // RFC 7540 core frame types only; ORIGIN (0xc) and ALTSVC (0xa) postdate
-  // the agent's parser.
-  for (std::uint8_t t = 0x0; t <= 0x9; ++t) known_types_.insert(t);
-}
-
-netsim::Middlebox::Verdict StrictFrameMiddlebox::inspect(
+netsim::Middlebox::Verdict FrameTypeMiddlebox::inspect(
     std::uint64_t connection_id, std::span<const std::uint8_t> bytes,
     bool to_server) {
   auto& parser = parsers_[{connection_id, to_server}];
   auto frames = parser.feed(strip_preface(bytes, to_server));
   if (!frames.ok()) return Verdict::kForward;  // opaque to the agent
+  frames_seen_ += frames->size();
   for (const auto& frame : *frames) {
     const auto type = static_cast<std::uint8_t>(h2::frame_type_of(frame));
-    if (!known_types_.contains(type)) {
+    if (teardown_types_.test(type)) {
       ++teardowns_;
       return Verdict::kTeardown;
     }
@@ -54,24 +42,25 @@ netsim::Middlebox::Verdict StrictFrameMiddlebox::inspect(
   return Verdict::kForward;
 }
 
-TeardownOnTypeMiddlebox::TeardownOnTypeMiddlebox(
-    std::set<std::uint8_t> teardown_types, std::string name)
-    : teardown_types_(std::move(teardown_types)), name_(std::move(name)) {}
+std::shared_ptr<FrameTypeMiddlebox> passive_inspector() {
+  return std::make_shared<FrameTypeMiddlebox>(FrameTypeMiddlebox::TypeSet{},
+                                              "passive-inspector");
+}
 
-netsim::Middlebox::Verdict TeardownOnTypeMiddlebox::inspect(
-    std::uint64_t connection_id, std::span<const std::uint8_t> bytes,
-    bool to_server) {
-  auto& parser = parsers_[{connection_id, to_server}];
-  auto frames = parser.feed(strip_preface(bytes, to_server));
-  if (!frames.ok()) return Verdict::kForward;
-  for (const auto& frame : *frames) {
-    const auto type = static_cast<std::uint8_t>(h2::frame_type_of(frame));
-    if (teardown_types_.contains(type)) {
-      ++teardowns_;
-      return Verdict::kTeardown;
-    }
-  }
-  return Verdict::kForward;
+std::shared_ptr<FrameTypeMiddlebox> strict_av_agent() {
+  // RFC 7540 core frame types only; ORIGIN (0xc) and ALTSVC (0xa) postdate
+  // the agent's parser.
+  FrameTypeMiddlebox::TypeSet teardown;
+  teardown.set();
+  for (std::uint8_t t = 0x0; t <= 0x9; ++t) teardown.reset(t);
+  return std::make_shared<FrameTypeMiddlebox>(teardown, "strict-av-agent");
+}
+
+std::shared_ptr<FrameTypeMiddlebox> type_filter_agent(
+    std::initializer_list<std::uint8_t> teardown_types) {
+  FrameTypeMiddlebox::TypeSet teardown;
+  for (const std::uint8_t t : teardown_types) teardown.set(t);
+  return std::make_shared<FrameTypeMiddlebox>(teardown, "type-filter-agent");
 }
 
 netsim::Middlebox::Verdict FrameReorderingMiddlebox::inspect(

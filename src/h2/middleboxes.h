@@ -7,9 +7,11 @@
 // middlebox behaviour that makes coalescing itself the trigger).
 #pragma once
 
+#include <bitset>
 #include <cstdint>
+#include <initializer_list>
 #include <map>
-#include <set>
+#include <memory>
 #include <string>
 #include <utility>
 
@@ -19,65 +21,47 @@
 
 namespace origin::h2 {
 
-// A standards-compliant inspection device: looks at every frame, forwards
-// everything (the baseline that proves inspection alone breaks nothing).
-class PassiveInspector : public netsim::Middlebox {
+// A network agent that parses every HTTP/2 frame it carries and tears the
+// connection down on the first frame whose type is in its teardown set.
+// One device covers the §6.7 family, by the set it is built with:
+//   * passive_inspector(): empty set — looks at every frame and forwards
+//     everything (the baseline that proves inspection alone breaks
+//     nothing);
+//   * strict_av_agent(): the §6.7 bug — tears down on every type outside
+//     the RFC 7540 core frames 0x0–0x9 instead of ignoring unknown types as
+//     RFC 9113 §4.1 requires, so ORIGIN (0xc) triggers the teardown;
+//   * type_filter_agent({0x0c}): tolerates arbitrary unknown frames but
+//     specifically hates the coalescing advertisement.
+class FrameTypeMiddlebox : public netsim::Middlebox {
  public:
+  using TypeSet = std::bitset<256>;
+
+  FrameTypeMiddlebox(TypeSet teardown_types, std::string name);
+
+  // Forward `type` from now on (the vendor's fix teaches the agent a type).
+  void forward_type(std::uint8_t type) { teardown_types_.reset(type); }
+
   netsim::Middlebox::Verdict inspect(std::uint64_t connection_id,
                   std::span<const std::uint8_t> bytes, bool to_server) override;
-  std::string name() const override { return "passive-inspector"; }
+  std::string name() const override { return name_; }
   std::uint64_t frames_seen() const { return frames_seen_; }
+  std::uint64_t teardowns() const { return teardowns_; }
 
  private:
+  TypeSet teardown_types_;
+  std::string name_;
   // One parser per (connection, direction): a middlebox instance sees every
   // connection of its client, and interleaved byte streams would otherwise
   // garble a single parser.
   std::map<std::pair<std::uint64_t, bool>, h2::FrameParser> parsers_;
   std::uint64_t frames_seen_ = 0;
-};
-
-// The §6.7 bug: a network agent that tears the TLS connection down when it
-// sees a frame type it does not recognize — instead of ignoring it as RFC
-// 9113 §4.1 requires. Defaults to knowing only the RFC 7540 core frames,
-// so ORIGIN (0xc) triggers the teardown.
-class StrictFrameMiddlebox : public netsim::Middlebox {
- public:
-  StrictFrameMiddlebox();
-
-  // Frame types the agent recognizes (and therefore forwards).
-  void add_known_type(std::uint8_t type) { known_types_.insert(type); }
-
-  netsim::Middlebox::Verdict inspect(std::uint64_t connection_id,
-                  std::span<const std::uint8_t> bytes, bool to_server) override;
-  std::string name() const override { return "strict-av-agent"; }
-  std::uint64_t teardowns() const { return teardowns_; }
-
- private:
-  std::set<std::uint8_t> known_types_;
-  std::map<std::pair<std::uint64_t, bool>, h2::FrameParser> parsers_;
   std::uint64_t teardowns_ = 0;
 };
 
-// The inverse parameterization: tears down on an explicit list of frame
-// types and forwards everything else — teardown-on-ORIGIN is
-// TeardownOnTypeMiddlebox({0x0c}), a device that tolerates arbitrary
-// unknown frames but specifically hates the coalescing advertisement.
-class TeardownOnTypeMiddlebox : public netsim::Middlebox {
- public:
-  explicit TeardownOnTypeMiddlebox(std::set<std::uint8_t> teardown_types,
-                                   std::string name = "type-filter-agent");
-
-  netsim::Middlebox::Verdict inspect(std::uint64_t connection_id,
-                  std::span<const std::uint8_t> bytes, bool to_server) override;
-  std::string name() const override { return name_; }
-  std::uint64_t teardowns() const { return teardowns_; }
-
- private:
-  std::set<std::uint8_t> teardown_types_;
-  std::string name_;
-  std::map<std::pair<std::uint64_t, bool>, h2::FrameParser> parsers_;
-  std::uint64_t teardowns_ = 0;
-};
+std::shared_ptr<FrameTypeMiddlebox> passive_inspector();
+std::shared_ptr<FrameTypeMiddlebox> strict_av_agent();
+std::shared_ptr<FrameTypeMiddlebox> type_filter_agent(
+    std::initializer_list<std::uint8_t> teardown_types);
 
 // Swaps the first two complete frames inside a delivery (a buggy
 // load-balancer reassembly path). Never tears down by itself; the damage

@@ -4,10 +4,12 @@
 // The wrappers stay deliberately dumb: malloc/posix_memalign underneath, a
 // bad_alloc throw on exhaustion, no new_handler loop. Under ASan/TSan the
 // underlying malloc is the sanitizer's interceptor, so leak and race
-// checking keep working through the hook; the counters themselves are
-// thread-local and race-free by construction.
+// checking keep working through the hook; the per-thread counters are
+// thread-local and race-free by construction, and the process totals are
+// relaxed atomics.
 #include "util/alloc_guard.h"
 
+#include <atomic>
 #include <cstdlib>
 #include <new>
 
@@ -16,10 +18,14 @@ namespace origin::util {
 namespace {
 
 thread_local AllocCounts tl_counts;
+std::atomic<std::uint64_t> g_allocations{0};
+std::atomic<std::uint64_t> g_bytes{0};
 
 inline void count(std::size_t size) {
   ++tl_counts.allocations;
   tl_counts.bytes += size;
+  g_allocations.fetch_add(1, std::memory_order_relaxed);
+  g_bytes.fetch_add(size, std::memory_order_relaxed);
 }
 
 inline void* counted_alloc(std::size_t size) {
@@ -43,6 +49,11 @@ inline void* counted_aligned_alloc(std::size_t size, std::size_t align) {
 }  // namespace
 
 AllocCounts thread_alloc_counts() { return tl_counts; }
+
+AllocCounts process_alloc_counts() {
+  return {g_allocations.load(std::memory_order_relaxed),
+          g_bytes.load(std::memory_order_relaxed)};
+}
 
 bool alloc_hook_touch() { return true; }
 

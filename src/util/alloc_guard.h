@@ -11,7 +11,9 @@
 //
 // The counters are thread-local: a guard only observes allocations made on
 // its own thread. Measure batch APIs at threads == 1 (the serial inline
-// path), where every allocation lands on the caller.
+// path), where every allocation lands on the caller. A relaxed process-wide
+// total runs alongside them (process_alloc_counts()) for benches that time
+// a multi-threaded region and want every thread's allocations in one delta.
 //
 // This is what turns "~0 allocs/page warm" from a bench note into a
 // failing test (DESIGN.md §11): warm the scratch arenas with one batch,
@@ -30,6 +32,9 @@ struct AllocCounts {
 
 // Counters for the calling thread since thread start.
 AllocCounts thread_alloc_counts();
+
+// Counters summed over every thread since process start.
+AllocCounts process_alloc_counts();
 
 // Forces the linker to pull in the replacement operators (any reference
 // into alloc_guard.cc does); returns true so callers can assert on it.

@@ -49,15 +49,19 @@ class Interner {
   // `id` must come from this interner.
   std::string_view name(SymbolId id) const;
 
-  std::size_t size() const { return names_.size(); }
+  std::size_t size() const { return count_; }
 
-  // Drops every symbol; ids restart at 0. The index keeps its capacity.
+  // Drops every symbol; ids restart at 0. The index and the name strings
+  // keep their capacity, so re-interning names no longer than the old ones
+  // in the same slots allocates nothing (a warm shard refill).
   void clear();
 
  private:
   // The deque keeps views stable as names are appended; the index keys
-  // are views into it.
+  // are views into it. Slots at and past count_ are spare storage left by
+  // clear(): intern() reuses slot count_ before appending.
   std::deque<std::string> names_;
+  std::size_t count_ = 0;
   FlatMap<std::string_view, SymbolId> index_;
 };
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <stdexcept>
+#include <utility>
 
 namespace origin::util {
 
@@ -46,19 +47,15 @@ ThreadPool::ThreadPool(std::size_t threads)
     thread_count_ = 1;
     return;  // serial pool: no workers, bodies run inline on the caller
   }
-  workers_.reserve(thread_count_);
-  for (std::size_t i = 0; i < thread_count_; ++i) {
-    workers_.push_back(std::make_unique<Worker>());
-  }
   threads_.reserve(thread_count_);
   for (std::size_t i = 0; i < thread_count_; ++i) {
-    threads_.emplace_back([this, i] { worker_loop(i); });
+    threads_.emplace_back([this] { worker_loop(); });
   }
 }
 
 ThreadPool::~ThreadPool() {
   {
-    MutexLock lock(&job_mu_);
+    MutexLock lock(&mu_);
     shutdown_ = true;
   }
   work_cv_.notify_all();
@@ -81,111 +78,59 @@ void ThreadPool::parallel_for_index(
     return;
   }
 
-  MutexLock callers(&caller_mu_);  // one job owns the queues at a time
-
-  // ~4 chunks per worker: coarse enough that queue traffic is negligible,
-  // fine enough that stealing can level skewed per-index costs.
+  // ~4 chunks per worker: coarse enough that lock traffic is negligible,
+  // fine enough that idle workers can level skewed per-index costs.
   const std::size_t target_chunks = std::min(n, thread_count_ * 4);
   const std::size_t chunk_size = (n + target_chunks - 1) / target_chunks;
-  const std::size_t chunk_count = (n + chunk_size - 1) / chunk_size;
-
-  // Publish the job before any chunk is visible: a still-draining worker
-  // may steal the first chunk the instant it is queued.
-  {
-    MutexLock lock(&job_mu_);
-    body_ = &body;
-    job_failed_ = false;
-    first_error_ = nullptr;
-    outstanding_chunks_ = chunk_count;
-    queued_chunks_ = chunk_count;
-  }
-  std::size_t next_worker = 0;
-  for (std::size_t begin = 0; begin < n; begin += chunk_size) {
-    Chunk chunk{begin, std::min(n, begin + chunk_size)};
-    Worker& worker = *workers_[next_worker++ % workers_.size()];
-    MutexLock lock(&worker.mu);
-    worker.queue.push_back(chunk);
-  }
-  work_cv_.notify_all();
 
   std::exception_ptr error;
   {
-    MutexLock lock(&job_mu_);
-    // analyze:allow(lock-wait-while-holding): caller_mu_ only serializes
-    // concurrent callers of run(); workers signal done_cv_ under job_mu_
-    // alone and never take caller_mu_, so the wait cannot deadlock
-    while (outstanding_chunks_ != 0) done_cv_.wait(job_mu_);
+    MutexLock lock(&mu_);
+    while (busy_) done_cv_.wait(mu_);  // another caller's job holds the slot
+    busy_ = true;
+    body_ = &body;
+    n_ = n;
+    chunk_size_ = chunk_size;
+    next_ = 0;
+    outstanding_ = (n + chunk_size - 1) / chunk_size;
+    work_cv_.notify_all();
+    while (outstanding_ != 0) done_cv_.wait(mu_);
     body_ = nullptr;
-    error = first_error_;
-    first_error_ = nullptr;
+    error = std::exchange(first_error_, nullptr);
+    busy_ = false;
   }
+  done_cv_.notify_all();  // hand the slot to a waiting caller, if any
   if (error != nullptr) std::rethrow_exception(error);
 }
 
-void ThreadPool::worker_loop(std::size_t self) {
+void ThreadPool::worker_loop() {
   for (;;) {
+    const std::function<void(std::size_t)>* body = nullptr;
+    std::size_t begin = 0;
+    std::size_t end = 0;
     {
-      MutexLock lock(&job_mu_);
-      while (!shutdown_ && queued_chunks_ == 0) work_cv_.wait(job_mu_);
+      MutexLock lock(&mu_);
+      while (!shutdown_ && next_ >= n_) work_cv_.wait(mu_);
       if (shutdown_) return;
+      begin = next_;
+      end = std::min(n_, begin + chunk_size_);
+      next_ = end;
+      // After a failure the remaining chunks drain without running user code.
+      if (first_error_ == nullptr) body = body_;
     }
-    Chunk chunk;
-    while (take_chunk(self, chunk)) run_chunk(chunk);
-  }
-}
-
-bool ThreadPool::take_chunk(std::size_t self, Chunk& out) {
-  bool got = false;
-  {
-    Worker& own = *workers_[self];
-    MutexLock lock(&own.mu);
-    if (!own.queue.empty()) {
-      out = own.queue.front();
-      own.queue.pop_front();
-      got = true;
-    }
-  }
-  // Steal from the BACK of a sibling queue: the owner works the front, so
-  // thieves and owner only collide when one chunk is left.
-  for (std::size_t k = 1; !got && k < workers_.size(); ++k) {
-    Worker& victim = *workers_[(self + k) % workers_.size()];
-    MutexLock lock(&victim.mu);
-    if (!victim.queue.empty()) {
-      out = victim.queue.back();
-      victim.queue.pop_back();
-      got = true;
-    }
-  }
-  if (got) {
-    MutexLock lock(&job_mu_);
-    --queued_chunks_;
-  }
-  return got;
-}
-
-void ThreadPool::run_chunk(const Chunk& chunk) {
-  const std::function<void(std::size_t)>* body = nullptr;
-  bool failed = false;
-  {
-    MutexLock lock(&job_mu_);
-    body = body_;
-    failed = job_failed_;
-  }
-  if (!failed && body != nullptr) {
-    RegionGuard region;
-    try {
-      for (std::size_t i = chunk.begin; i < chunk.end; ++i) (*body)(i);
-    } catch (...) {
-      MutexLock lock(&job_mu_);
-      if (!job_failed_) {
-        // First failure wins; later chunks drain without running user code.
-        job_failed_ = true;
-        first_error_ = std::current_exception();
+    std::exception_ptr error;
+    if (body != nullptr) {
+      RegionGuard region;
+      try {
+        for (std::size_t i = begin; i < end; ++i) (*body)(i);
+      } catch (...) {
+        error = std::current_exception();
       }
     }
+    MutexLock lock(&mu_);
+    if (error != nullptr && first_error_ == nullptr) first_error_ = error;
+    if (--outstanding_ == 0) done_cv_.notify_all();
   }
-  MutexLock lock(&job_mu_);
-  if (--outstanding_chunks_ == 0) done_cv_.notify_all();
 }
 
 }  // namespace origin::util

@@ -1,4 +1,4 @@
-// Fixed-size worker pool with per-worker queues and work stealing.
+// Fixed-size worker pool with one shared job queue.
 //
 // The corpus pipeline (generate -> load -> model -> aggregate) is
 // embarrassingly parallel across sites, so the one primitive everything
@@ -14,13 +14,18 @@
 //     check the pool itself; discipline at call sites is enforced by
 //     per-site RNG prepasses and atomic counters in the substrate).
 //
-// Scheduling: indices are pre-split into contiguous chunks dealt
-// round-robin onto per-worker deques. A worker pops its own queue from the
-// front and, when empty, steals from the back of a sibling's queue — the
-// classic Blumofe/Leiserson shape, which keeps contention off the common
-// path while still balancing skewed per-index costs (page loads vary by two
-// orders of magnitude between a 3-resource tail site and a 600-resource
-// shard farm).
+// Scheduling: one job slot under one mutex. The index range is cut into
+// min(n, 4 x threads) contiguous chunks, and each idle worker claims the
+// next chunk in index order, runs it outside the lock and counts it done;
+// the last finisher wakes the caller, which waits and runs no bodies. A
+// worker that finishes a cheap chunk simply claims another, so skewed
+// per-index costs (page loads vary by two orders of magnitude between a
+// 3-resource tail site and a 600-resource shard farm) level out without
+// per-worker queues: at ~4 chunks per worker the lock is taken a few dozen
+// times per job. Workers are persistent, so thread-local scratch and
+// per-thread counters see the same threads from job to job. Concurrent
+// callers of one pool take turns: a second caller waits until the job in
+// the slot has finished.
 //
 // Error handling: the first exception thrown by any body() is captured and
 // rethrown from parallel_for_index on the calling thread; remaining chunks
@@ -37,10 +42,8 @@
 
 #include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <thread>
 #include <vector>
 
@@ -87,40 +90,25 @@ class ThreadPool {
                           const std::function<void(std::size_t)>& body);
 
  private:
-  struct Chunk {
-    std::size_t begin = 0;
-    std::size_t end = 0;
-  };
-  // Per-worker deque: owner pops the front, thieves pop the back.
-  struct Worker {
-    Mutex mu;
-    std::deque<Chunk> queue ORIGIN_GUARDED_BY(mu);
-  };
-
-  void worker_loop(std::size_t self);
-  // Dequeues one chunk (own queue first, then steal). Returns false when no
-  // work is available anywhere.
-  bool take_chunk(std::size_t self, Chunk& out) ORIGIN_EXCLUDES(job_mu_);
-  void run_chunk(const Chunk& chunk) ORIGIN_EXCLUDES(job_mu_);
+  void worker_loop() ORIGIN_EXCLUDES(mu_);
 
   std::size_t thread_count_ = 1;
-  std::vector<std::unique_ptr<Worker>> workers_;
   std::vector<std::thread> threads_;
 
-  Mutex job_mu_;
-  CondVar work_cv_;  // workers: "a job was posted" / "shut down"
-  CondVar done_cv_;  // caller: "the last chunk finished"
-  bool shutdown_ ORIGIN_GUARDED_BY(job_mu_) = false;
-  std::size_t outstanding_chunks_ ORIGIN_GUARDED_BY(job_mu_) = 0;
-  std::size_t queued_chunks_ ORIGIN_GUARDED_BY(job_mu_) = 0;
-  bool job_failed_ ORIGIN_GUARDED_BY(job_mu_) = false;
-  std::exception_ptr first_error_ ORIGIN_GUARDED_BY(job_mu_);
-  const std::function<void(std::size_t)>* body_ ORIGIN_GUARDED_BY(job_mu_) =
+  Mutex mu_;
+  CondVar work_cv_;  // workers: "a chunk is claimable" / "shut down"
+  CondVar done_cv_;  // callers: "the last chunk finished" / "slot is free"
+  bool shutdown_ ORIGIN_GUARDED_BY(mu_) = false;
+  // The job slot. A chunk is claimable while next_ < n_; outstanding_
+  // counts chunks not yet finished; busy_ holds the slot for one caller.
+  const std::function<void(std::size_t)>* body_ ORIGIN_GUARDED_BY(mu_) =
       nullptr;
-
-  // Serializes concurrent parallel_for_index callers: one job at a time
-  // owns the worker queues.
-  Mutex caller_mu_ ORIGIN_THREAD_ANNOTATION_(acquired_before(job_mu_));
+  std::size_t n_ ORIGIN_GUARDED_BY(mu_) = 0;
+  std::size_t chunk_size_ ORIGIN_GUARDED_BY(mu_) = 1;
+  std::size_t next_ ORIGIN_GUARDED_BY(mu_) = 0;
+  std::size_t outstanding_ ORIGIN_GUARDED_BY(mu_) = 0;
+  std::exception_ptr first_error_ ORIGIN_GUARDED_BY(mu_);
+  bool busy_ ORIGIN_GUARDED_BY(mu_) = false;
 };
 
 }  // namespace origin::util

@@ -498,8 +498,7 @@ TEST(KillSwitch, SixSevenReplayDisablesOriginForAffectedTagOnly) {
                                             const std::string& reason) {
     ks.record_outcome(tag, origin_sent, cdn::abnormal_close(reason));
   });
-  world.net.install_middlebox(
-      "affected", std::make_shared<h2::StrictFrameMiddlebox>());
+  world.net.install_middlebox("affected", h2::strict_av_agent());
 
   auto run_tagged = [&world](const std::string& tag) {
     LoaderOptions options;

@@ -9,6 +9,8 @@
 #include <thread>
 #include <vector>
 
+#include "util/alloc_guard.h"
+
 namespace origin::util {
 namespace {
 
@@ -96,6 +98,26 @@ TEST(Interner, ClearRestartsIds) {
   EXPECT_EQ(interner.intern("old-b"), 1u);
   EXPECT_EQ(interner.name(0), "new");
   EXPECT_EQ(interner.lookup("old-a"), kInvalidSymbol);
+}
+
+TEST(Interner, ClearReusesNameStorage) {
+  // A warm refill re-interns the same names after clear(): the strings are
+  // longer than the small-string buffer, so only reused slots keep this at
+  // zero allocations.
+  Interner interner;
+  std::vector<std::string> names;
+  for (int i = 0; i < 200; ++i) {
+    names.push_back("shard-farm-host-" + std::to_string(i) + ".cdn.example");
+  }
+  for (const auto& name : names) interner.intern(name);
+  interner.clear();
+  AllocGuard guard;
+  for (const auto& name : names) interner.intern(name);
+  EXPECT_EQ(guard.allocations(), 0u);
+  EXPECT_EQ(interner.size(), names.size());
+  for (SymbolId id = 0; id < names.size(); ++id) {
+    EXPECT_EQ(interner.name(id), names[id]);
+  }
 }
 
 TEST(Interner, ConcurrentLookupsAfterSerialInserts) {

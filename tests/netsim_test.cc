@@ -14,9 +14,6 @@ namespace {
 using origin::dns::IpAddress;
 using origin::h2::AuthorityPinningMiddlebox;
 using origin::h2::FrameReorderingMiddlebox;
-using origin::h2::PassiveInspector;
-using origin::h2::StrictFrameMiddlebox;
-using origin::h2::TeardownOnTypeMiddlebox;
 using origin::util::Bytes;
 using origin::util::Duration;
 using origin::util::SimTime;
@@ -297,7 +294,7 @@ TEST(NetworkTest, H2ExchangeOverSimulatedNetwork) {
 }
 
 TEST(Middleboxes, PassiveInspectorForwardsEverything) {
-  auto inspector = std::make_shared<PassiveInspector>();
+  auto inspector = origin::h2::passive_inspector();
   H2OverNet harness;
   harness.start(inspector);
   harness.sim.run_until_idle();
@@ -310,7 +307,7 @@ TEST(Middleboxes, PassiveInspectorForwardsEverything) {
 TEST(Middleboxes, StrictAgentTearsDownOnOriginFrame) {
   // Reproduces §6.7: the ORIGIN frame is unknown to the agent, and instead
   // of ignoring it, the agent kills the connection.
-  auto agent = std::make_shared<StrictFrameMiddlebox>();
+  auto agent = origin::h2::strict_av_agent();
   H2OverNet harness;
   harness.start(agent);
   harness.sim.run_until_idle();
@@ -321,9 +318,9 @@ TEST(Middleboxes, StrictAgentTearsDownOnOriginFrame) {
 
 TEST(Middleboxes, StrictAgentForwardsAfterFix) {
   // The vendor ships the fix (§6.7 epilogue): the agent now knows ORIGIN.
-  auto agent = std::make_shared<StrictFrameMiddlebox>();
-  agent->add_known_type(0x0c);  // ORIGIN
-  agent->add_known_type(0x0a);  // ALTSVC
+  auto agent = origin::h2::strict_av_agent();
+  agent->forward_type(0x0c);  // ORIGIN
+  agent->forward_type(0x0a);  // ALTSVC
   H2OverNet harness;
   harness.start(agent);
   harness.sim.run_until_idle();
@@ -335,8 +332,7 @@ TEST(Middleboxes, StrictAgentForwardsAfterFix) {
 
 TEST(Middleboxes, TeardownOnTypeKillsOnlyListedTypes) {
   // teardown-on-ORIGIN: tolerates arbitrary unknown frames, hates 0x0c.
-  auto agent = std::make_shared<TeardownOnTypeMiddlebox>(
-      std::set<std::uint8_t>{0x0c});
+  auto agent = origin::h2::type_filter_agent({0x0c});
   H2OverNet harness;
   harness.start(agent);
   harness.sim.run_until_idle();
@@ -348,8 +344,7 @@ TEST(Middleboxes, TeardownOnTypeKillsOnlyListedTypes) {
 TEST(Middleboxes, TeardownOnTypeForwardsUnlistedTypes) {
   // The same device configured against ALTSVC only: ORIGIN sails through
   // even though it is just as unknown to the agent.
-  auto agent = std::make_shared<TeardownOnTypeMiddlebox>(
-      std::set<std::uint8_t>{0x0a});
+  auto agent = origin::h2::type_filter_agent({0x0a});
   H2OverNet harness;
   harness.start(agent);
   harness.sim.run_until_idle();

@@ -149,8 +149,9 @@ TEST(WireClientTest, MisdirectedRequestRetriesOnNewConnection) {
   WireWorld world(/*origin_frames=*/true);
   // The server advertises static.site.com but loses its vhost (content
   // moved): coalesced requests draw 421 and the client retries.
-  world.cdn_server = server::Http2Server(server::ServerConfig{
-      {"https://www.site.com", "https://static.site.com"}, {}});
+  server::ServerConfig config;
+  config.origin_set = {"https://www.site.com", "https://static.site.com"};
+  world.cdn_server = server::Http2Server(config);
   world.cdn_server.add_vhost("www.site.com", static_body("<html>base</html>"));
   world.cdn_server.listen(world.net, IpAddress::v4(0x0A000001));
 
@@ -169,8 +170,7 @@ TEST(WireClientTest, StrictMiddleboxKillsOriginConnections) {
   // §6.7 end-to-end: with the buggy agent in path, ORIGIN-bearing
   // connections die and their requests fail.
   WireWorld world(/*origin_frames=*/true);
-  world.net.install_middlebox("wire-client",
-                              std::make_shared<h2::StrictFrameMiddlebox>());
+  world.net.install_middlebox("wire-client", h2::strict_av_agent());
   auto result = world.run("origin-frame");
   EXPECT_TRUE(result.complete);
   EXPECT_GT(result.robustness.connections_torn_down, 0u);
@@ -180,8 +180,7 @@ TEST(WireClientTest, StrictMiddleboxKillsOriginConnections) {
 TEST(WireClientTest, MiddleboxHarmlessWithoutOriginFrames) {
   // Same agent, but the server does not send ORIGIN: nothing to trip on.
   WireWorld world(/*origin_frames=*/false);
-  world.net.install_middlebox("wire-client",
-                              std::make_shared<h2::StrictFrameMiddlebox>());
+  world.net.install_middlebox("wire-client", h2::strict_av_agent());
   auto result = world.run("chromium-ip");
   EXPECT_TRUE(result.complete);
   EXPECT_TRUE(result.errors.empty()) << result.errors.front();

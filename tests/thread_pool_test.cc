@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include "util/thread_pool.h"
@@ -40,10 +41,10 @@ TEST(ThreadPool, EveryIndexRunsExactlyOnce) {
   for (std::size_t i = 0; i < kN; ++i) EXPECT_EQ(hits[i].load(), 1);
 }
 
-TEST(ThreadPool, ContendedStealBalancesSkewedWork) {
+TEST(ThreadPool, ContendedQueueBalancesSkewedWork) {
   // Heavily skewed per-index cost: a few indices dominate, so finishing in
-  // reasonable time requires thieves to drain the other queues. Correctness
-  // is still exact per-index output.
+  // reasonable time requires idle workers to keep claiming the remaining
+  // chunks. Correctness is still exact per-index output.
   util::ThreadPool pool(8);
   constexpr std::size_t kN = 2'000;
   std::vector<std::uint64_t> out(kN, 0);
@@ -73,6 +74,37 @@ TEST(ThreadPool, SequentialJobsReuseWorkers) {
       sum.fetch_add(i, std::memory_order_relaxed);
     });
     EXPECT_EQ(sum.load(), 64u * 63u / 2u);
+  }
+}
+
+TEST(ThreadPool, ConcurrentCallersTakeTurns) {
+  // Several threads share one pool: each job must still see every one of its
+  // own indices exactly once, whatever the interleaving of callers.
+  util::ThreadPool pool(4);
+  constexpr std::size_t kCallers = 4;
+  constexpr int kJobs = 25;
+  std::vector<int> bad_jobs(kCallers, 0);
+  std::vector<std::thread> callers;
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    callers.emplace_back([&pool, &bad_jobs, c] {
+      for (int job = 0; job < kJobs; ++job) {
+        const std::size_t n = 50 + 13 * c + static_cast<std::size_t>(job);
+        std::vector<std::atomic<int>> hits(n);
+        pool.parallel_for_index(n, [&](std::size_t i) {
+          hits[i].fetch_add(1, std::memory_order_relaxed);
+        });
+        for (const auto& hit : hits) {
+          if (hit.load() != 1) {
+            ++bad_jobs[c];
+            break;
+          }
+        }
+      }
+    });
+  }
+  for (auto& caller : callers) caller.join();
+  for (std::size_t c = 0; c < kCallers; ++c) {
+    EXPECT_EQ(bad_jobs[c], 0) << "caller " << c;
   }
 }
 
